@@ -53,6 +53,9 @@ pub struct ChordState {
     /// `fingers[i]` ≈ successor(me.id + 2^i).
     fingers: Vec<Option<PeerRef>>,
     next_finger: u32,
+    /// Every known peer, sorted by id and deduplicated by node —
+    /// rebuilt by each mutator so routing hops only scan it.
+    known: Vec<PeerRef>,
 }
 
 impl ChordState {
@@ -65,6 +68,7 @@ impl ChordState {
             successors: Vec::new(),
             fingers: vec![None; ChordId::BITS as usize],
             next_finger: 0,
+            known: Vec::new(),
         }
     }
 
@@ -117,26 +121,31 @@ impl ChordState {
         }
     }
 
-    /// Every peer this node knows: fingers, successor list and
-    /// predecessor (deduplicated).
-    pub fn known_peers(&self) -> Vec<PeerRef> {
-        let mut out: Vec<PeerRef> = Vec::with_capacity(self.successors.len() + 8);
-        out.extend(self.successors.iter().copied());
-        out.extend(self.fingers.iter().flatten().copied());
-        if let Some(p) = self.predecessor {
-            out.push(p);
-        }
-        out.sort_by_key(|p| p.id.0);
-        out.dedup_by_key(|p| p.node);
-        out
+    /// Every peer this node knows: successor list, fingers and
+    /// predecessor, sorted by id and deduplicated by node.
+    pub fn known_peers(&self) -> &[PeerRef] {
+        &self.known
+    }
+
+    /// Recompute [`ChordState::known_peers`] in place. The stable sort
+    /// keeps peers of equal id in successors–fingers–predecessor
+    /// order, which decides which copy of a node survives the dedup.
+    fn rebuild_known(&mut self) {
+        self.known.clear();
+        self.known.extend(self.successors.iter().copied());
+        self.known.extend(self.fingers.iter().flatten().copied());
+        self.known.extend(self.predecessor);
+        self.known.sort_by_key(|p| p.id.0);
+        self.known.dedup_by_key(|p| p.node);
     }
 
     /// The classic `closest_preceding_node`: the known peer with the
     /// largest id in `(me, key)`, i.e. the longest safe jump toward
     /// `key` that cannot overshoot the owner.
     pub fn closest_preceding(&self, key: ChordId) -> Option<PeerRef> {
-        self.known_peers()
-            .into_iter()
+        self.known
+            .iter()
+            .copied()
             .filter(|p| p.node != self.me.node && ChordId::in_open(self.me.id, key, p.id))
             .max_by_key(|p| self.me.id.clockwise_distance(p.id))
     }
@@ -165,6 +174,7 @@ impl ChordState {
         } else {
             self.fingers[index as usize] = Some(peer);
         }
+        self.rebuild_known();
     }
 
     /// Round-robin finger index to refresh next, with its target key.
@@ -183,6 +193,7 @@ impl ChordState {
         self.successors.retain(|p| p.node != s.node);
         self.successors.insert(0, s);
         self.successors.truncate(self.cfg.successor_list_len);
+        self.rebuild_known();
     }
 
     /// Merge the successor's own list into ours (stabilization step):
@@ -199,6 +210,7 @@ impl ChordState {
             }
         }
         self.successors = merged;
+        self.rebuild_known();
     }
 
     /// Chord's `notify`: `candidate` claims to be our predecessor.
@@ -214,6 +226,7 @@ impl ChordState {
         };
         if adopt {
             self.predecessor = Some(candidate);
+            self.rebuild_known();
         }
         adopt
     }
@@ -248,6 +261,9 @@ impl ChordState {
                 touched = true;
             }
         }
+        if touched {
+            self.rebuild_known();
+        }
         touched
     }
 
@@ -269,6 +285,7 @@ impl ChordState {
         self.successors = successors;
         self.successors.truncate(self.cfg.successor_list_len);
         self.fingers = fingers;
+        self.rebuild_known();
     }
 }
 
@@ -483,6 +500,17 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The known-peer list computed from scratch on every call — the
+    /// reference for the slice [`ChordState`] maintains.
+    fn known_peers_from_scratch(st: &ChordState) -> Vec<PeerRef> {
+        let mut out: Vec<PeerRef> = st.successors().to_vec();
+        out.extend(st.fingers());
+        out.extend(st.predecessor());
+        out.sort_by_key(|p| p.id.0);
+        out.dedup_by_key(|p| p.node);
+        out
+    }
+
     fn distinct_ids() -> impl Strategy<Value = Vec<u64>> {
         proptest::collection::btree_set(any::<u64>(), 1..40).prop_map(|s| s.into_iter().collect())
     }
@@ -509,6 +537,56 @@ mod proptests {
                 prop_assert!(
                     ChordId(key).clockwise_distance(owner) <= ChordId(key).clockwise_distance(m.id)
                 );
+            }
+        }
+
+        /// The maintained known-peer slice equals the from-scratch
+        /// computation after every step of a random mutator sequence.
+        /// Ids and nodes are drawn from small sets so that peers share
+        /// ids, nodes reappear under new ids and `me` shows up in
+        /// inputs; `set_finger` dominates so the list grows past the
+        /// length where an unstable sort would still keep tie order.
+        #[test]
+        fn known_peers_tracks_every_mutator(
+            ops in proptest::collection::vec(
+                (
+                    0u8..16,
+                    (0u32..10, 0u64..12),
+                    0u32..64,
+                    proptest::collection::vec((0u32..10, 0u64..12), 0..6),
+                ),
+                1..120,
+            ),
+            succ_len in 1usize..6,
+        ) {
+            let at = |(node, id): (u32, u64)| PeerRef { id: ChordId(id << 60), node: NodeId(node) };
+            let cfg = ChordConfig { successor_list_len: succ_len, ..Default::default() };
+            let mut st = ChordState::new(at((0, 5)), cfg);
+            for (kind, p, index, list) in ops {
+                let peer = at(p);
+                let list: Vec<PeerRef> = list.into_iter().map(at).collect();
+                match kind {
+                    0..=8 => st.set_finger(index, peer),
+                    9 => st.adopt_successor(peer),
+                    10 => st.refresh_successor_list(peer, &list),
+                    11 => {
+                        st.on_notify(peer);
+                    }
+                    12 => {
+                        st.on_peer_dead(peer.node);
+                    }
+                    13 => {
+                        let mut fingers = vec![None; ChordId::BITS as usize];
+                        for (k, f) in list.iter().enumerate() {
+                            fingers[(index as usize + 7 * k) % ChordId::BITS as usize] = Some(*f);
+                        }
+                        st.install(list.first().copied(), list.clone(), fingers);
+                    }
+                    _ => {
+                        st.on_successor_predecessor(peer, list.first().copied());
+                    }
+                }
+                prop_assert_eq!(st.known_peers(), known_peers_from_scratch(&st).as_slice());
             }
         }
 

@@ -72,8 +72,12 @@ impl CacheManager {
         self.capacity
     }
 
-    /// Record an access (hit or insertion) of `o`.
+    /// Record an access (hit or insertion) of `o`. A no-op when
+    /// unbounded: only eviction reads the bookkeeping.
     pub fn touch(&mut self, o: ObjectId) {
+        if self.policy == CachePolicy::Unbounded {
+            return;
+        }
         self.clock += 1;
         let e = self.meta.entry(o).or_insert((0, 0));
         e.0 = self.clock;
@@ -132,6 +136,7 @@ mod tests {
             m.touch(ObjectId(i));
             assert_eq!(m.evict_for_insert(i as usize), None);
         }
+        assert_eq!(m.tracked(), 0, "no per-object bookkeeping when unbounded");
     }
 
     #[test]

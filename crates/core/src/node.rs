@@ -223,6 +223,83 @@ struct PendingQuery {
     retries: u8,
 }
 
+/// A map for the handful of entries a node keeps per website or per
+/// query in flight, stored as an unordered vec of pairs. An empty one
+/// allocates nothing and a one-entry one allocates one pair, where a
+/// std `HashMap` (and a `Vec` grown by plain `push`) takes room for
+/// four; lookups are linear scans. The order of [`VecMap::keys`] is
+/// unspecified, so a caller whose output depends on it sorts first.
+#[derive(Debug)]
+pub(crate) struct VecMap<K, V>(Vec<(K, V)>);
+
+impl<K: Copy + Eq, V> VecMap<K, V> {
+    fn new() -> Self {
+        VecMap(Vec::new())
+    }
+
+    fn position(&self, k: &K) -> Option<usize> {
+        self.0.iter().position(|(key, _)| key == k)
+    }
+
+    /// Append a pair, growing the vec by exactly one slot when full.
+    fn push(&mut self, k: K, v: V) {
+        self.0.reserve_exact(1);
+        self.0.push((k, v));
+    }
+
+    fn get(&self, k: &K) -> Option<&V> {
+        self.0.iter().find(|(key, _)| key == k).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        self.0.iter_mut().find(|(key, _)| key == k).map(|(_, v)| v)
+    }
+
+    fn contains_key(&self, k: &K) -> bool {
+        self.position(k).is_some()
+    }
+
+    /// Insert or replace; returns the replaced value.
+    fn insert(&mut self, k: K, v: V) -> Option<V> {
+        match self.position(&k) {
+            Some(i) => Some(std::mem::replace(&mut self.0[i].1, v)),
+            None => {
+                self.push(k, v);
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, k: &K) -> Option<V> {
+        let i = self.position(k)?;
+        Some(self.0.swap_remove(i).1)
+    }
+
+    /// The value under `k`, inserting `make()` first if absent.
+    fn get_or_insert_with(&mut self, k: K, make: impl FnOnce() -> V) -> &mut V {
+        let i = match self.position(&k) {
+            Some(i) => i,
+            None => {
+                self.push(k, make());
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &K> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// The per-node protocol state machine. Implements
 /// [`simnet::Node<FlowerMsg>`].
 pub struct FlowerNode {
@@ -232,17 +309,17 @@ pub struct FlowerNode {
     locality_override: Option<Locality>,
     /// The directory role, if this node is (or is becoming) a
     /// directory peer.
-    pub(crate) dir_role: Option<DirRole>,
+    pub(crate) dir_role: Option<Box<DirRole>>,
     /// Content-peer roles by website.
-    pub(crate) content: HashMap<WebsiteId, ContentPeerState>,
+    pub(crate) content: VecMap<WebsiteId, ContentPeerState>,
     /// Which website this node is the origin server of.
     server_for: Option<WebsiteId>,
     /// Queries in flight that we originated.
-    pending: HashMap<u64, PendingQuery>,
+    pending: VecMap<u64, PendingQuery>,
     /// Objects served before the admission decision arrived.
-    parked_objects: HashMap<WebsiteId, Vec<ObjectId>>,
+    parked_objects: VecMap<WebsiteId, Vec<ObjectId>>,
     /// Websites for which a replacement attempt is scheduled/running.
-    replacing: std::collections::HashSet<WebsiteId>,
+    replacing: VecMap<WebsiteId, ()>,
     /// Monotonic counters (observability / tests).
     pub stats: NodeCounters,
 }
@@ -300,11 +377,11 @@ impl FlowerNode {
             shared,
             locality_override: None,
             dir_role: None,
-            content: HashMap::new(),
+            content: VecMap::new(),
             server_for: None,
-            pending: HashMap::new(),
-            parked_objects: HashMap::new(),
-            replacing: Default::default(),
+            pending: VecMap::new(),
+            parked_objects: VecMap::new(),
+            replacing: VecMap::new(),
             stats: NodeCounters::default(),
         }
     }
@@ -336,12 +413,12 @@ impl FlowerNode {
         );
         let petal = PetalState::new(instance, shared.scheme.instances() as u32);
         let mut n = Self::client(shared);
-        n.dir_role = Some(DirRole {
+        n.dir_role = Some(Box::new(DirRole {
             substrate,
             dir,
             joining: false,
             petal,
-        });
+        }));
         n
     }
 
@@ -352,13 +429,13 @@ impl FlowerNode {
 
     /// The directory role, if any.
     pub fn dir_role(&self) -> Option<&DirRole> {
-        self.dir_role.as_ref()
+        self.dir_role.as_deref()
     }
 
     /// Mutable directory role (harness setup, e.g. staging a §5.3
     /// petal state before driving an administrative path).
     pub fn dir_role_mut(&mut self) -> Option<&mut DirRole> {
-        self.dir_role.as_mut()
+        self.dir_role.as_deref_mut()
     }
 
     /// Is this node a content peer of `ws`?
@@ -399,7 +476,9 @@ impl FlowerNode {
         for ws in websites {
             if let Some(cp) = self.content.remove(&ws) {
                 let objs: Vec<ObjectId> = cp.objects().collect();
-                self.parked_objects.entry(ws).or_default().extend(objs);
+                self.parked_objects
+                    .get_or_insert_with(ws, Vec::new)
+                    .extend(objs);
             }
         }
     }
@@ -921,7 +1000,9 @@ impl FlowerNode {
             self.maybe_push(ctx, query.website);
         } else {
             // Not (yet) a member: park until the admission decision.
-            let parked = self.parked_objects.entry(query.website).or_default();
+            let parked = self
+                .parked_objects
+                .get_or_insert_with(query.website, Vec::new);
             if !parked.contains(&query.object) {
                 parked.push(query.object);
             }
@@ -964,7 +1045,7 @@ impl FlowerNode {
             self.content.remove(&ws);
         }
         let is_new = !self.content.contains_key(&ws);
-        let cp = self.content.entry(ws).or_insert_with(|| {
+        let cp = self.content.get_or_insert_with(ws, || {
             ContentPeerState::with_cache(
                 ws,
                 locality,
@@ -1374,7 +1455,7 @@ impl FlowerNode {
                 cp.set_petal_live(1);
             }
             cp.forget_peer(dead);
-            if self.replacing.insert(ws) {
+            if self.replacing.insert(ws, ()).is_none() {
                 let j = ctx.rng().gen_range(0..jitter_ms);
                 ctx.set_timer(SimDuration::from_ms(j), timers::REPLACE_DIR, ws.0 as u64);
             }
@@ -1416,12 +1497,12 @@ impl FlowerNode {
         // A §5.2 replacement assumes the petal-primary position; any
         // sibling instances re-attach through the bounce/merge path.
         let petal = PetalState::new(0, self.shared.scheme.instances() as u32);
-        self.dir_role = Some(DirRole {
+        self.dir_role = Some(Box::new(DirRole {
             substrate,
             dir,
             joining: true,
             petal,
-        });
+        }));
         let entry = *self
             .shared
             .bootstrap_dirs
@@ -1993,19 +2074,19 @@ impl simnet::Node<FlowerMsg> for FlowerNode {
                     let mut petal = PetalState::new(0, self.shared.scheme.instances() as u32);
                     petal.live = live.clamp(1, self.shared.scheme.instances() as u32);
                     let inherited_live = petal.live;
-                    self.dir_role = Some(DirRole {
+                    self.dir_role = Some(Box::new(DirRole {
                         substrate,
                         dir,
                         joining: false,
                         petal,
-                    });
+                    }));
                     // The heir is an overlay member (it came from the
                     // directory index), but its own Admission may still
                     // be in flight: ensure the content role exists so
                     // the replacement hint spreads through gossip.
                     let cfg = &self.shared.cfg;
                     let is_new_role = !self.content.contains_key(&website);
-                    let cp = self.content.entry(website).or_insert_with(|| {
+                    let cp = self.content.get_or_insert_with(website, || {
                         ContentPeerState::with_cache(
                             website,
                             locality,
@@ -2294,5 +2375,65 @@ mod tests {
         );
         p.primary = None; // bounce reset
         assert_eq!(p.primary_node(deployed), deployed);
+    }
+
+    #[test]
+    fn flower_node_stays_small() {
+        // Every underlay node carries one; the rare roles live behind
+        // pointers. A new inline field that grows this re-bloats the
+        // whole population.
+        assert!(
+            std::mem::size_of::<FlowerNode>() <= 320,
+            "FlowerNode is {} bytes",
+            std::mem::size_of::<FlowerNode>()
+        );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Any operation sequence leaves [`VecMap`] agreeing with a
+        /// std `HashMap`, return values included.
+        #[test]
+        fn vec_map_matches_hash_map(
+            ops in proptest::collection::vec((0u8..6, 0u16..8, any::<u32>()), 1..120),
+        ) {
+            let mut m: VecMap<u16, u32> = VecMap::new();
+            let mut model: HashMap<u16, u32> = HashMap::new();
+            for (op, k, v) in ops {
+                match op {
+                    0 => prop_assert_eq!(m.insert(k, v), model.insert(k, v)),
+                    1 => prop_assert_eq!(m.remove(&k), model.remove(&k)),
+                    2 => prop_assert_eq!(
+                        *m.get_or_insert_with(k, || v),
+                        *model.entry(k).or_insert(v)
+                    ),
+                    3 => {
+                        if let (Some(a), Some(b)) = (m.get_mut(&k), model.get_mut(&k)) {
+                            *a ^= v;
+                            *b ^= v;
+                        }
+                    }
+                    4 if v % 16 == 0 => {
+                        m.clear();
+                        model.clear();
+                    }
+                    _ => prop_assert_eq!(m.contains_key(&k), model.contains_key(&k)),
+                }
+                for key in 0..8 {
+                    prop_assert_eq!(m.get(&key), model.get(&key));
+                }
+                let mut keys: Vec<u16> = m.keys().copied().collect();
+                keys.sort_unstable();
+                let mut want: Vec<u16> = model.keys().copied().collect();
+                want.sort_unstable();
+                prop_assert_eq!(keys, want);
+                prop_assert_eq!(m.is_empty(), model.is_empty());
+            }
+        }
     }
 }

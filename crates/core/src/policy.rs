@@ -43,7 +43,8 @@ impl DringPolicy {
     pub fn conditional_local_lookup(&self, st: &ChordState, key: ChordId) -> Option<PeerRef> {
         let me = st.me();
         st.known_peers()
-            .into_iter()
+            .iter()
+            .copied()
             .chain(std::iter::once(me))
             .filter(|p| self.scheme.same_website(p.id, key))
             .min_by_key(|p| (p.id.ring_distance(key), p.id.0))

@@ -361,7 +361,7 @@ impl DhtSubstrate for ChordSubstrate {
     }
 
     fn known_peers(&self) -> Vec<PeerRef> {
-        self.st.known_peers()
+        self.st.known_peers().to_vec()
     }
 
     fn handoff_neighbors(&self) -> Vec<PeerRef> {

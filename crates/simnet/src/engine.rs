@@ -538,10 +538,12 @@ enum Pending<M> {
     },
     /// Traffic-accounted message in flight (recorded at send time;
     /// this wrapper only exists to detect dead destinations at
-    /// delivery time).
+    /// delivery time). `size` is `msg.wire_size()` taken at send, so
+    /// the receive side does not walk the payload again.
     Wire {
         from: NodeId,
         to: NodeId,
+        size: u32,
         msg: M,
     },
     ChurnDown(NodeId),
@@ -703,12 +705,14 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                     // A fault-cut message fails the guard and falls
                     // through to `dispatch`, which counts the drop —
                     // the only place that does, in both modes.
-                    Pending::Wire { from, to, msg }
-                        if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) =>
-                    {
+                    Pending::Wire {
+                        from,
+                        to,
+                        size,
+                        msg,
+                    } if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) => {
                         let class = msg.class();
-                        self.traffic
-                            .record_recv(place.local(to), class, msg.wire_size());
+                        self.traffic.record_recv(place.local(to), class, size);
                         self.metrics.incr(RECV_COUNTER[class.index()]);
                         self.deliver_batch(
                             to,
@@ -783,7 +787,12 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                 // node; externally injected events are lost, like a user
                 // whose machine is off.
             }
-            Pending::Wire { from, to, msg } => {
+            Pending::Wire {
+                from,
+                to,
+                size,
+                msg,
+            } => {
                 if self.fault_cut(self.now, from, to, topo) {
                     // Partition cut: dropped *silently* — a severed
                     // network gives the sender no connection-refused
@@ -793,8 +802,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                     self.metrics.incr(DROP_COUNTER[msg.class().index()]);
                 } else if self.up.get(to) {
                     let class = msg.class();
-                    self.traffic
-                        .record_recv(place.local(to), class, msg.wire_size());
+                    self.traffic.record_recv(place.local(to), class, size);
                     self.metrics.incr(RECV_COUNTER[class.index()]);
                     self.deliver(to, Event::Recv { from, msg }, topo, place, outbox);
                 } else if self.up.get(from) {
@@ -913,9 +921,11 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             self.now = key.at;
             ev = match payload {
                 Pending::App { ev, .. } => ev,
-                Pending::Wire { from, msg, .. } => {
+                Pending::Wire {
+                    from, size, msg, ..
+                } => {
                     let class = msg.class();
-                    self.traffic.record_recv(li, class, msg.wire_size());
+                    self.traffic.record_recv(li, class, size);
                     self.metrics.incr(RECV_COUNTER[class.index()]);
                     Event::Recv { from, msg }
                 }
@@ -941,8 +951,8 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
             match a {
                 Action::Send { to, msg } => {
                     let class = msg.class();
-                    self.traffic
-                        .record_sent(self.now, li, class, msg.wire_size());
+                    let size = msg.wire_size();
+                    self.traffic.record_sent(self.now, li, class, size);
                     self.metrics.incr(SENT_COUNTER[class.index()]);
                     // Link loss: the coin is flipped at send time from
                     // the *emitter's* RNG stream — the same stream on
@@ -965,7 +975,12 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
                     self.route(
                         place.shard(to),
                         key,
-                        Pending::Wire { from: dst, to, msg },
+                        Pending::Wire {
+                            from: dst,
+                            to,
+                            size,
+                            msg,
+                        },
                         outbox,
                     );
                 }

@@ -239,6 +239,9 @@ impl<T> Calendar<T> {
             // and drip overflow events that entered it into the ring.
             let bucket = self.ring.pop_front().expect("ring is never empty");
             self.day_end += self.width;
+            // A fresh bucket, not the drained one's allocation: reused
+            // buckets keep their peak capacity in every one of up to
+            // 65,536 slots (hot-petals peak RSS went 142 MB → 518 MB).
             self.ring.push_back(Vec::new());
             while let Some(s) = self.far.peek() {
                 let idx = ((s.key.at.as_ms() - self.day_end) / self.width) as usize;
