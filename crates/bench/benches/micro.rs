@@ -11,7 +11,7 @@ use chord::{stable_ring, ChordConfig, ChordId, PeerRef};
 use flower_core::id::KeyScheme;
 use flower_core::policy::DringPolicy;
 use gossip::{View, ViewEntry};
-use simnet::{EventQueueKind, NodeId, SimTime};
+use simnet::{NodeId, SimTime};
 use workload::Zipf;
 
 fn bench_bloom(c: &mut Criterion) {
@@ -217,95 +217,66 @@ fn bench_workload(c: &mut Criterion) {
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simnet");
-    for kind in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-        // Bulk fill-then-drain.
-        g.bench_function(format!("event_queue_{kind}_push_pop_1k"), |b| {
-            b.iter(|| {
-                let mut q = simnet::event::EventQueue::with_kind(kind);
-                for i in 0..1000u64 {
-                    let key = simnet::EventKey {
-                        at: SimTime::from_ms((i * 7919) % 1000),
-                        src: i % 7,
-                        seq: i,
-                    };
-                    q.push(key, i);
-                }
-                let mut n = 0;
-                while q.pop().is_some() {
-                    n += 1;
-                }
-                n
-            })
-        });
-        // Steady-state hold pattern (the engine's actual profile): a
-        // deep standing population with pop-one/push-one cycles — the
-        // regime where the calendar's O(1) beats the heap's O(log n).
-        g.bench_function(format!("event_queue_{kind}_hold_16k"), |b| {
-            let mut q = simnet::event::EventQueue::with_kind(kind);
-            let mut seq = 0u64;
-            for _ in 0..16_384u64 {
+    // Bulk fill-then-drain.
+    g.bench_function("event_queue_push_pop_1k", |b| {
+        b.iter(|| {
+            let mut q = simnet::event::EventQueue::new();
+            for i in 0..1000u64 {
                 let key = simnet::EventKey {
-                    at: SimTime::from_ms((seq * 211) % 10_000),
+                    at: SimTime::from_ms((i * 7919) % 1000),
+                    src: i % 7,
+                    seq: i,
+                };
+                q.push(key, i);
+            }
+            let mut n = 0;
+            while q.pop().is_some() {
+                n += 1;
+            }
+            n
+        })
+    });
+    // Steady-state hold pattern (the engine's actual profile): a deep
+    // standing population with pop-one/push-one cycles.
+    g.bench_function("event_queue_hold_16k", |b| {
+        let mut q = simnet::event::EventQueue::new();
+        let mut seq = 0u64;
+        for _ in 0..16_384u64 {
+            let key = simnet::EventKey {
+                at: SimTime::from_ms((seq * 211) % 10_000),
+                src: seq % 31,
+                seq,
+            };
+            q.push(key, seq);
+            seq += 1;
+        }
+        b.iter(|| {
+            let (k, _) = q.pop().expect("standing population");
+            q.push(
+                simnet::EventKey {
+                    at: k.at + simnet::SimDuration::from_ms((seq * 97) % 500),
                     src: seq % 31,
                     seq,
-                };
-                q.push(key, seq);
-                seq += 1;
-            }
-            b.iter(|| {
-                let (k, _) = q.pop().expect("standing population");
-                q.push(
-                    simnet::EventKey {
-                        at: k.at + simnet::SimDuration::from_ms((seq * 97) % 500),
-                        src: seq % 31,
-                        seq,
-                    },
-                    seq,
-                );
-                seq += 1;
-                k
-            })
-        });
-    }
+                },
+                seq,
+            );
+            seq += 1;
+            k
+        })
+    });
     g.finish();
 }
 
 fn bench_shard_exchange(c: &mut Criterion) {
     use simnet::MailboxGrid;
-    use std::sync::Mutex;
     let mut g = c.benchmark_group("sync");
     // One epoch-boundary cross-shard exchange at the engine's real
     // shape: K shards, a staged batch of a few events per (sender,
-    // receiver) pair, every round. The retired design appended each
-    // batch into the receiver's `Mutex<Vec>` inbox and drained it
-    // under the lock; the mailbox grid swaps whole buffers through
-    // per-pair double-buffered slots. Measured single-threaded, so
-    // the delta below is pure per-item handoff cost (lock + copy vs
-    // swap) — under real contention the lock path only gets worse.
+    // receiver) pair, every round, swapped through the grid's per-pair
+    // double-buffered slots. Measured single-threaded, so this is pure
+    // per-item handoff cost.
     const K: usize = 4;
     const BATCH: u64 = 8;
-    g.bench_function("exchange_mutex_inbox", |b| {
-        let inboxes: Vec<Mutex<Vec<(u64, u64)>>> = (0..K).map(|_| Mutex::new(Vec::new())).collect();
-        let mut outbox: Vec<(u64, u64)> = Vec::new();
-        b.iter(|| {
-            for sender in 0..K {
-                for (recv, inbox) in inboxes.iter().enumerate() {
-                    if recv == sender {
-                        continue;
-                    }
-                    for i in 0..BATCH {
-                        outbox.push((sender as u64, i));
-                    }
-                    inbox.lock().unwrap().extend(outbox.drain(..));
-                }
-            }
-            let mut n = 0;
-            for inbox in &inboxes {
-                n += inbox.lock().unwrap().drain(..).count();
-            }
-            n
-        })
-    });
     g.bench_function("exchange_mailbox_grid", |b| {
         let grid: MailboxGrid<(u64, u64)> = MailboxGrid::new(K);
         let mut outboxes: Vec<Vec<Vec<(u64, u64)>>> = vec![vec![Vec::new(); K]; K];
@@ -338,14 +309,13 @@ fn bench_shard_exchange(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
-    use simnet::{Ctx, DeliveryMode, Engine, Event, Node, Topology, TopologyConfig};
+fn bench_dispatch_hot_spot(c: &mut Criterion) {
+    use simnet::{Ctx, Engine, Event, Node, Topology, TopologyConfig};
 
     // A hot-spot protocol: every peer pings node 0, node 0 answers —
     // so consecutive queue heads share a destination and the batched
-    // path can amortise the node lookup and liveness check per batch
-    // instead of per event. `Single` is the retired one-at-a-time
-    // reference the parity suite compares against.
+    // delivery path amortises the node lookup and liveness check per
+    // batch instead of per event.
     #[derive(Clone, Debug)]
     struct Ping(u8);
     impl simnet::Message for Ping {
@@ -379,7 +349,7 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
             }
         }
     }
-    let build = |mode: DeliveryMode| {
+    let build = || {
         let topo = Topology::generate(
             &TopologyConfig {
                 nodes: 256,
@@ -391,7 +361,6 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
         let n = topo.num_nodes();
         let nodes = (0..n).map(|_| Hot::default()).collect();
         let mut e: Engine<Ping, Hot> = Engine::new(topo, nodes, 7);
-        e.set_delivery_mode(mode);
         for i in 1..n as u32 {
             e.schedule_at(
                 SimTime::from_ms(1 + (i as u64 % 40)),
@@ -404,35 +373,27 @@ fn bench_dispatch_batched_vs_single(c: &mut Criterion) {
         }
         e
     };
-    let mut g = c.benchmark_group("dispatch_batched_vs_single");
-    for (name, mode) in [
-        ("batched", DeliveryMode::Batched),
-        ("single", DeliveryMode::Single),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || build(mode),
-                |mut e| {
-                    e.run_until(SimTime::from_secs(60));
-                    e.events_processed()
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
+    let mut g = c.benchmark_group("dispatch");
+    g.bench_function("hot_spot", |b| {
+        b.iter_batched(
+            build,
+            |mut e| {
+                e.run_until(SimTime::from_secs(60));
+                e.events_processed()
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
-fn bench_stats_streaming_vs_log_replay(c: &mut Criterion) {
+fn bench_stats_streaming(c: &mut Criterion) {
     use simnet::stats::ServedBy;
     use simnet::{QueryStats, SimDuration};
 
-    // The streaming cumulative-hit accumulator versus the design it
-    // replaced: an unbounded per-resolution log replayed into the
-    // curve at report time. Both record N resolutions and then
-    // produce the cumulative hit series; the streaming side is O(N)
-    // time and O(buckets) memory, the log is O(N) memory and pays a
-    // sort at replay.
+    // The streaming cumulative-hit accumulator: record N resolutions,
+    // then produce the cumulative hit series in O(N) time and
+    // O(buckets) memory.
     const N: u64 = 20_000;
     let window = SimDuration::from_mins(30);
     let resolution = |i: u64| {
@@ -444,8 +405,8 @@ fn bench_stats_streaming_vs_log_replay(c: &mut Criterion) {
         };
         (at, served)
     };
-    let mut g = c.benchmark_group("stats_streaming_vs_log_replay");
-    g.bench_function("streaming", |b| {
+    let mut g = c.benchmark_group("stats");
+    g.bench_function("cumulative_hit_streaming", |b| {
         b.iter(|| {
             let mut q = QueryStats::new(window);
             for i in 0..N {
@@ -454,27 +415,6 @@ fn bench_stats_streaming_vs_log_replay(c: &mut Criterion) {
                 q.on_resolved(at, NodeId(0), 10, 20, served);
             }
             black_box(q.cumulative_hit_series())
-        })
-    });
-    g.bench_function("log_replay", |b| {
-        b.iter(|| {
-            let mut log: Vec<(SimTime, bool)> = Vec::new();
-            for i in 0..N {
-                let (at, served) = resolution(i);
-                log.push((at, served != ServedBy::OriginServer));
-            }
-            log.sort_by_key(|(at, _)| *at);
-            let mut hits = 0u64;
-            let mut total = 0u64;
-            let out: Vec<(SimTime, f64)> = log
-                .iter()
-                .map(|(at, hit)| {
-                    hits += u64::from(*hit);
-                    total += 1;
-                    (*at, hits as f64 / total as f64)
-                })
-                .collect();
-            black_box(out)
         })
     });
     g.finish();
@@ -489,7 +429,7 @@ criterion_group!(
     bench_workload,
     bench_event_queue,
     bench_shard_exchange,
-    bench_dispatch_batched_vs_single,
-    bench_stats_streaming_vs_log_replay
+    bench_dispatch_hot_spot,
+    bench_stats_streaming
 );
 criterion_main!(micro);

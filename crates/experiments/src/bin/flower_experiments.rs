@@ -4,8 +4,6 @@
 //! ```text
 //! flower-experiments <experiment> [--scale <f|full>] [--seed <n>]
 //!                    [--substrate <chord|pastry>] [--shards <n>]
-//!                    [--event-queue <calendar|heap|both>]
-//!                    [--lookahead <matrix|global|both>]
 //!                    [--instance-bits <b|a,b,..>] [--pin]
 //!                    [--csv-dir <dir>] [--bench-out <file>]
 //!                    [--metrics-out <file>]
@@ -29,17 +27,11 @@
 //! `--instance-bits b` enables the §5.3 PetalUp scale-up: up to `2^b`
 //! load-adaptive directory instances per (website, locality) petal
 //! (`scale` accepts a comma list and sweeps it).
-//! `--event-queue` picks the engine's event storage (results are
-//! bit-identical for both backends; `both` is only valid for `scale`,
-//! which then sweeps the two side by side).
-//! `--lookahead` picks how the sharded engine bounds its epochs: the
-//! per-shard-pair lookahead matrix (default) or the single global
-//! floor — bit-identical results, fewer barrier rounds under
-//! `matrix`; `both` (scale only) sweeps the two, naming global-floor
-//! cells `…/glf`.
-//! `scale` sweeps node counts × shard counts × queue backends and
+//! `scale` sweeps node counts × instance bits × shard counts and
 //! reports events/sec, wall time and peak queue depth; `--bench-out
-//! BENCH_engine.json` writes all engine measurements machine-readably.
+//! BENCH_engine.json` writes all engine measurements machine-readably
+//! (schema `flower-cdn/bench-engine/v7`, the only one `bench-check`
+//! reads).
 //! `--pin` pins each shard worker thread to a core chosen by the
 //! engine's latency-aware placement (chattiest shard pairs on
 //! adjacent cores); wall-clock only — results are bit-identical with
@@ -75,16 +67,12 @@ use experiments::exps::{self, ExpOutput, ScaleParams};
 use experiments::gate;
 use experiments::report::{bench_json, metrics_json, BenchRecord, MetricsRecord};
 use experiments::runner::{RunOpts, RunScale};
-use experiments::{EventQueueKind, LookaheadKind, SubstrateKind};
+use experiments::SubstrateKind;
 use simnet::SimDuration;
 
 struct Args {
     cmd: String,
     opts: RunOpts,
-    /// Queue sweep of the `scale` experiment (`--event-queue both`).
-    queue_sweep: Vec<EventQueueKind>,
-    /// Lookahead sweep of the `scale` experiment (`--lookahead both`).
-    lookahead_sweep: Vec<LookaheadKind>,
     csv_dir: Option<String>,
     bench_out: Option<String>,
     /// `--metrics-out`: write the registry snapshots as METRICS.json.
@@ -94,8 +82,6 @@ struct Args {
     metrics_in: Option<String>,
     scale_nodes: Vec<usize>,
     scale_shards: Vec<usize>,
-    /// Append the WAN lookahead-comparison cells to the `scale` sweep.
-    scale_wan: bool,
     /// §5.3 instance-bits sweep of the `scale` experiment (single
     /// value for every other experiment).
     scale_bits: Vec<u32>,
@@ -123,15 +109,12 @@ fn parse_args() -> Result<Args, String> {
     let mut out = Args {
         cmd,
         opts: RunOpts::new(),
-        queue_sweep: vec![EventQueueKind::default()],
-        lookahead_sweep: vec![LookaheadKind::default()],
         csv_dir: None,
         bench_out: None,
         metrics_out: None,
         metrics_in: None,
         scale_nodes: vec![10_000, 50_000, 100_000],
         scale_shards: vec![1, 2, 4, 8],
-        scale_wan: false,
         scale_bits: vec![0],
         horizon_secs: 60,
         baseline: None,
@@ -158,30 +141,6 @@ fn parse_args() -> Result<Args, String> {
                 out.opts.shards = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
                 if out.opts.shards == 0 {
                     return Err("--shards must be at least 1".into());
-                }
-            }
-            "--event-queue" => {
-                let v = args.next().ok_or("--event-queue needs a value")?;
-                if v == "both" {
-                    if out.cmd != "scale" {
-                        return Err("--event-queue both is only valid for `scale`".into());
-                    }
-                    out.queue_sweep = vec![EventQueueKind::Calendar, EventQueueKind::Heap];
-                } else {
-                    out.opts.queue = EventQueueKind::parse(&v)?;
-                    out.queue_sweep = vec![out.opts.queue];
-                }
-            }
-            "--lookahead" => {
-                let v = args.next().ok_or("--lookahead needs a value")?;
-                if v == "both" {
-                    if out.cmd != "scale" {
-                        return Err("--lookahead both is only valid for `scale`".into());
-                    }
-                    out.lookahead_sweep = vec![LookaheadKind::Matrix, LookaheadKind::GlobalFloor];
-                } else {
-                    out.opts.lookahead = LookaheadKind::parse(&v)?;
-                    out.lookahead_sweep = vec![out.opts.lookahead];
                 }
             }
             "--csv-dir" => {
@@ -223,12 +182,6 @@ fn parse_args() -> Result<Args, String> {
                 out.opts.instance_bits = bits[0];
                 out.scale_bits = bits;
             }
-            "--wan" => {
-                if out.cmd != "scale" {
-                    return Err("--wan is only valid for `scale`".into());
-                }
-                out.scale_wan = true;
-            }
             "--pin" => {
                 out.opts.pin = true;
             }
@@ -264,10 +217,9 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: flower-experiments <table2a|table2b|table2c|push-threshold|fig5|fig6|fig7|fig8|churn|ablation|replication|cache|substrates|chaos|scale|bench-check|metrics-check|all> \
      [--scale <f|full>] [--seed <n>] [--substrate <chord|pastry>] [--shards <n>] \
-     [--event-queue <calendar|heap|both>] [--lookahead <matrix|global|both>] \
      [--instance-bits <b|a,b,..>] [--pin] \
      [--csv-dir <dir>] [--bench-out <file>] [--metrics-out <file>] \
-     [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] [--wan] \
+     [--nodes <a,b,..>] [--shard-sweep <a,b,..>] [--horizon-secs <s>] \
      [--baseline <file> --fresh <file> [--max-drop <frac>] [--summary-out <file>] [--metrics <file>]]"
         .to_string()
 }
@@ -278,7 +230,7 @@ fn usage() -> String {
 ///
 /// Zero matched points is an *error*, not a pass: it means the CI
 /// flags and the committed baseline have drifted apart (different
-/// horizon, sweep cells or queue backends), which would otherwise
+/// horizon or sweep cells), which would otherwise
 /// turn the gate into a permanently green no-op. The one exception:
 /// when the same cells matched but the *host core count* differs
 /// (baseline recorded on a 1-core container, fresh run on an 8-core
@@ -342,8 +294,8 @@ fn bench_check(args: &Args) -> Result<bool, String> {
     if report.rows.is_empty() {
         return Err(
             "bench-check: no fresh point matched the baseline — the gate would compare \
-             nothing. The smoke run's flags (experiment names, node/shard counts, queue \
-             backends, horizons) have drifted from the committed BENCH_engine.json; \
+             nothing. The smoke run's flags (experiment names, node/shard counts, \
+             horizons) have drifted from the committed BENCH_engine.json; \
              re-record the baseline or fix the flags."
                 .into(),
         );
@@ -426,8 +378,8 @@ fn main() {
     }
     let opts = args.opts;
     eprintln!(
-        "# running {} at scale {:?} seed {} over {} with {} shard(s) on the {} queue",
-        args.cmd, opts.scale, opts.seed, opts.substrate, opts.shards, opts.queue
+        "# running {} at scale {:?} seed {} over {} with {} shard(s)",
+        args.cmd, opts.scale, opts.seed, opts.substrate, opts.shards
     );
     let t0 = std::time::Instant::now();
     let mut failed = false;
@@ -458,19 +410,12 @@ fn main() {
         bench.extend(out.bench.iter().cloned());
         metrics_records.extend(out.metrics.iter().cloned());
     }
-    let queues = args
-        .queue_sweep
-        .iter()
-        .map(|q| q.to_string())
-        .collect::<Vec<_>>()
-        .join("+");
     let host = format!(
-        "{} cpus, {}, queue={}",
+        "{} cpus, {}",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(0),
-        std::env::consts::ARCH,
-        queues
+        std::env::consts::ARCH
     );
     if let Some(path) = &args.bench_out {
         std::fs::write(path, bench_json(&host, &bench)).expect("write bench json");
@@ -511,12 +456,9 @@ fn run_one(name: &str, args: &Args) -> ExpOutput {
         "scale" => exps::scale(&ScaleParams {
             nodes: args.scale_nodes.clone(),
             shards: args.scale_shards.clone(),
-            queues: args.queue_sweep.clone(),
-            lookaheads: args.lookahead_sweep.clone(),
             instance_bits: args.scale_bits.clone(),
             horizon: SimDuration::from_secs(args.horizon_secs),
             seed: opts.seed,
-            wan: args.scale_wan,
             pin: opts.pin,
         }),
         other => {

@@ -10,8 +10,8 @@
 use flower_core::{FlowerSystem, SubstrateKind, SystemConfig, SystemReport};
 use metrics::Counter;
 use simnet::{
-    ChurnConfig, ChurnScript, EventQueueKind, FaultPlane, LinkLoss, Locality, LookaheadKind,
-    NodeId, Partition, RegionalFailure, SeriesPoint, SimDuration, SimTime,
+    ChurnConfig, ChurnScript, FaultPlane, LinkLoss, Locality, NodeId, Partition, RegionalFailure,
+    SeriesPoint, SimDuration, SimTime,
 };
 use squirrel::SquirrelSystem;
 use workload::Surge;
@@ -895,15 +895,6 @@ pub struct ScaleParams {
     pub nodes: Vec<usize>,
     /// Shard counts to sweep per node count (e.g. `[1, 2, 4, 8]`).
     pub shards: Vec<usize>,
-    /// Event-queue backends to sweep per cell (e.g. both, to compare
-    /// the calendar queue against the binary heap on equal terms).
-    pub queues: Vec<EventQueueKind>,
-    /// Lookahead modes to sweep per cell (matrix, global floor or
-    /// both). Global-floor cells are suffixed `/glf`; when both modes
-    /// run for a multi-shard cell, the sweep checks that the matrix
-    /// synchronizes no more often (fewer or equal barrier epochs)
-    /// while producing identical statistics.
-    pub lookaheads: Vec<LookaheadKind>,
     /// §5.3 instance-bits values to sweep (e.g. `[0, 2]` to compare
     /// the flat D-ring against a PetalUp one on the same workload).
     pub instance_bits: Vec<u32>,
@@ -911,16 +902,6 @@ pub struct ScaleParams {
     pub horizon: SimDuration,
     /// Master seed.
     pub seed: u64,
-    /// Append the WAN lookahead-comparison cells: for every node count
-    /// and multi-shard count, one matrix + one global-floor run on the
-    /// [`scale_wan_config`] topology (tight metro PoPs, so the exact
-    /// inter-locality minima *exceed* the uniform 60 ms floor). In the
-    /// standard scale topology adjacent domains sit exactly at the
-    /// floor, so under a dense workload both schedules saturate at
-    /// `sim / floor` barrier rounds — the WAN cells are where the
-    /// matrix's reduction is measurable end to end (and asserted
-    /// strictly).
-    pub wan: bool,
     /// Pin shard worker threads to cores under the latency-aware
     /// placement (the `--pin` flag). A wall-clock knob: results are
     /// bit-identical with pinning on or off, and hosts with fewer
@@ -933,12 +914,9 @@ impl Default for ScaleParams {
         ScaleParams {
             nodes: vec![10_000, 50_000, 100_000],
             shards: vec![1, 2, 4, 8],
-            queues: vec![EventQueueKind::default()],
-            lookaheads: vec![LookaheadKind::default()],
             instance_bits: vec![0],
             horizon: SimDuration::from_secs(60),
             seed: 42,
-            wan: false,
             pin: false,
         }
     }
@@ -954,8 +932,6 @@ impl Default for ScaleParams {
 fn scale_config(
     nodes: usize,
     shards: usize,
-    queue: EventQueueKind,
-    lookahead: LookaheadKind,
     instance_bits: u32,
     horizon: SimDuration,
     seed: u64,
@@ -983,9 +959,8 @@ fn scale_config(
             background_fraction: 0.0,
             population_skew: 0.25,
             inter_locality_floor_ms: 60,
-            event_queue: queue,
-            lookahead,
             pin: false,
+            ..TopologyConfig::default()
         },
         catalog: CatalogConfig {
             num_websites: 8,
@@ -1033,54 +1008,29 @@ fn scale_mean_petal_window(nodes: usize) -> f64 {
         / (SCALE_LOCALITIES * SCALE_ACTIVE_WEBSITES) as f64
 }
 
-/// The WAN variant of [`scale_config`]: the same deployment on tight
-/// metro PoPs (cluster spread 0.012 instead of 0.03). Domains shrink
-/// to points, so the *exact* minimum latency between locality point
-/// sets rises above the uniform 60 ms inter-domain floor — adjacent
-/// domains land around 70–80 ms, opposite ones in the hundreds —
-/// which is precisely the structure the per-shard-pair lookahead
-/// matrix converts into longer epochs. A separate cell family
-/// (`…/wan`): a different topology is a different trace, and the
-/// standard cells' seed-pinned statistics must stay untouched.
-fn scale_wan_config(
-    nodes: usize,
-    shards: usize,
-    queue: EventQueueKind,
-    lookahead: LookaheadKind,
-    horizon: SimDuration,
-    seed: u64,
-) -> SystemConfig {
-    let mut cfg = scale_config(nodes, shards, queue, lookahead, 0, horizon, seed);
-    cfg.topology.cluster_spread = 0.012;
-    cfg
-}
-
 /// The headline statistics of one scale cell that must match across
 /// shard counts: submitted, resolved, hit ratio, total messages.
 type CellStats = (u64, u64, f64, u64);
 
 /// **Scale** — the engine-performance experiment: sweep the node
-/// count, the §5.3 instance bits, the shard count and the event-queue
-/// backend; report events/second, wall-clock and per-instance
-/// directory load per cell; assert that within every (nodes,
-/// instance_bits) group all (shards, queue) combinations produce
-/// *identical* query statistics — the engine's bit-determinism
-/// guarantee (shard layout *and* event storage are execution details,
-/// and the §5.3 instance choice is a pure function of protocol
-/// state), measured end to end. When the sweep includes both the flat
-/// D-ring (`b = 0`) and a PetalUp one (`b ≥ 1`), it also checks that
-/// the splits actually flatten the per-instance directory load under
-/// the Zipf-skewed website workload.
+/// count, the §5.3 instance bits and the shard count; report
+/// events/second, wall-clock and per-instance directory load per cell;
+/// assert that within every (nodes, instance_bits) group all shard
+/// counts produce *identical* query statistics — the engine's
+/// bit-determinism guarantee (the shard layout is an execution detail,
+/// and the §5.3 instance choice is a pure function of protocol state),
+/// measured end to end. When the sweep includes both the flat D-ring
+/// (`b = 0`) and a PetalUp one (`b ≥ 1`), it also checks that the
+/// splits actually flatten the per-instance directory load under the
+/// Zipf-skewed website workload.
 pub fn scale(params: &ScaleParams) -> ExpOutput {
     let mut out = ExpOutput::default();
     let mut table = Table::new(
-        "Scale — engine throughput (instance bits × locality shards × event-queue backend × lookahead)",
+        "Scale — engine throughput (instance bits × locality shards)",
         &[
             "nodes",
             "bits",
             "shards",
-            "queue",
-            "lookahead",
             "wall s",
             "events",
             "events/s",
@@ -1098,115 +1048,67 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
         // value represents it).
         let mut load_ratios: Vec<(u32, f64)> = Vec::new();
         for &bits in &params.instance_bits {
-            // Baseline = the first (shards, queue, lookahead) cell of
-            // the group.
-            let mut base: Option<(f64, String, CellStats)> = None;
+            // Baseline = the first shard count of the group.
+            let mut base: Option<(f64, usize, CellStats)> = None;
             for &shards in &params.shards {
-                for &queue in &params.queues {
-                    // Barrier epochs per lookahead mode at this
-                    // (shards, queue) point — the matrix's whole point
-                    // is shrinking this, so when both modes run they
-                    // are compared below.
-                    let mut epochs_by_mode: Vec<(LookaheadKind, u64)> = Vec::new();
-                    for &lookahead in &params.lookaheads {
-                        let mut cfg = scale_config(
-                            nodes,
-                            shards,
-                            queue,
-                            lookahead,
-                            bits,
-                            params.horizon,
-                            params.seed,
-                        );
-                        cfg.topology.pin = params.pin;
-                        let mut name = if bits == 0 {
-                            format!("scale/{nodes}n")
-                        } else {
-                            format!("scale/{nodes}n/b{bits}")
-                        };
-                        if lookahead == LookaheadKind::GlobalFloor {
-                            name.push_str("/glf");
-                        }
-                        let (sys, report, record) = runner::run_flower_timed(&cfg, &name);
-                        let speedup = match &base {
-                            None => format!("×1.00 (base: {shards} shard(s), {queue})"),
-                            Some((base_wall, _, _)) => {
-                                format!("×{:.2}", base_wall / record.wall_s.max(1e-9))
-                            }
-                        };
-                        table.row(vec![
-                            nodes.to_string(),
-                            bits.to_string(),
-                            sys.engine().num_shards().to_string(),
-                            queue.to_string(),
-                            lookahead.to_string(),
-                            format!("{:.2}", record.wall_s),
-                            record.events.to_string(),
-                            f1(record.events_per_sec),
-                            record.peak_queue_depth.to_string(),
-                            record.epochs.to_string(),
-                            speedup,
-                            f3(report.hit_ratio),
-                            f3(report.dir_load_max_mean),
-                            report.dir_instances_live.to_string(),
-                        ]);
-                        epochs_by_mode.push((lookahead, record.epochs));
-                        let stats = (
-                            report.submitted,
-                            report.resolved,
-                            report.hit_ratio,
-                            sys.engine().traffic().messages(),
-                        );
-                        match &base {
-                            None => {
-                                load_ratios.push((bits, report.dir_load_max_mean));
-                                base = Some((
-                                    record.wall_s,
-                                    format!("{shards} shards/{queue}"),
-                                    stats,
-                                ));
-                            }
-                            Some((_, base_cell, base_stats)) => out.push_check(
-                                format!(
-                                    "{nodes} nodes / b{bits} / {shards} shards / {queue} / \
-                                     {lookahead}: query statistics identical to {base_cell} run \
-                                     ({}/{} hit {:.6}, {} msgs, dir load {:.4})",
-                                    stats.0, stats.1, stats.2, stats.3, report.dir_load_max_mean
-                                ),
-                                *base_stats == stats,
-                            ),
-                        }
-                        out.metrics.push(MetricsRecord {
-                            experiment: name.clone(),
-                            // Shards/queue are execution knobs; the
-                            // /glf suffix only switches the lookahead
-                            // mode, so the /glf twin simulates the
-                            // same trace and shares the key.
-                            sim_key: name.trim_end_matches("/glf").to_string(),
-                            shards: sys.engine().num_shards(),
-                            set: sys.engine().metrics().clone(),
-                        });
-                        out.bench.push(record);
+                let mut cfg = scale_config(nodes, shards, bits, params.horizon, params.seed);
+                cfg.topology.pin = params.pin;
+                let name = if bits == 0 {
+                    format!("scale/{nodes}n")
+                } else {
+                    format!("scale/{nodes}n/b{bits}")
+                };
+                let (sys, report, record) = runner::run_flower_timed(&cfg, &name);
+                let speedup = match &base {
+                    None => format!("×1.00 (base: {shards} shard(s))"),
+                    Some((base_wall, _, _)) => {
+                        format!("×{:.2}", base_wall / record.wall_s.max(1e-9))
                     }
-                    let matrix = epochs_by_mode
-                        .iter()
-                        .find(|(k, _)| *k == LookaheadKind::Matrix);
-                    let global = epochs_by_mode
-                        .iter()
-                        .find(|(k, _)| *k == LookaheadKind::GlobalFloor);
-                    if let (Some((_, m)), Some((_, g))) = (matrix, global) {
-                        if shards > 1 {
-                            out.push_check(
-                                format!(
-                                    "{nodes} nodes / b{bits} / {shards} shards / {queue}: \
-                                     lookahead matrix reduces barrier epochs ({m} vs {g} \
-                                     global-floor)"
-                                ),
-                                m <= g && *g > 0,
-                            );
-                        }
+                };
+                table.row(vec![
+                    nodes.to_string(),
+                    bits.to_string(),
+                    sys.engine().num_shards().to_string(),
+                    format!("{:.2}", record.wall_s),
+                    record.events.to_string(),
+                    f1(record.events_per_sec),
+                    record.peak_queue_depth.to_string(),
+                    record.epochs.to_string(),
+                    speedup,
+                    f3(report.hit_ratio),
+                    f3(report.dir_load_max_mean),
+                    report.dir_instances_live.to_string(),
+                ]);
+                let stats = (
+                    report.submitted,
+                    report.resolved,
+                    report.hit_ratio,
+                    sys.engine().traffic().messages(),
+                );
+                match &base {
+                    None => {
+                        load_ratios.push((bits, report.dir_load_max_mean));
+                        base = Some((record.wall_s, shards, stats));
                     }
+                    Some((_, base_shards, base_stats)) => out.push_check(
+                        format!(
+                            "{nodes} nodes / b{bits} / {shards} shards: query statistics \
+                             identical to {base_shards} shards run \
+                             ({}/{} hit {:.6}, {} msgs, dir load {:.4})",
+                            stats.0, stats.1, stats.2, stats.3, report.dir_load_max_mean
+                        ),
+                        *base_stats == stats,
+                    ),
                 }
+                out.metrics.push(MetricsRecord {
+                    experiment: name.clone(),
+                    // The shard count is an execution knob: every cell
+                    // of the group simulates the same trace.
+                    sim_key: name,
+                    shards: sys.engine().num_shards(),
+                    set: sys.engine().metrics().clone(),
+                });
+                out.bench.push(record);
             }
         }
         // §5.3 PetalUp shape: splits must flatten the per-instance
@@ -1233,88 +1135,11 @@ pub fn scale(params: &ScaleParams) -> ExpOutput {
                 );
             }
         }
-        // WAN comparison cells: the topology where the lookahead
-        // matrix's epoch reduction is measurable (see
-        // [`ScaleParams::wan`]). One matrix/global-floor pair per
-        // multi-shard count, first queue backend, flat D-ring.
-        if params.wan {
-            for &shards in params.shards.iter().filter(|s| **s > 1) {
-                let queue = params.queues[0];
-                let mut wan_base: Option<CellStats> = None;
-                let mut wan_epochs: Vec<(LookaheadKind, u64)> = Vec::new();
-                for lookahead in [LookaheadKind::Matrix, LookaheadKind::GlobalFloor] {
-                    let mut cfg = scale_wan_config(
-                        nodes,
-                        shards,
-                        queue,
-                        lookahead,
-                        params.horizon,
-                        params.seed,
-                    );
-                    cfg.topology.pin = params.pin;
-                    let mut name = format!("scale/{nodes}n/wan");
-                    if lookahead == LookaheadKind::GlobalFloor {
-                        name.push_str("/glf");
-                    }
-                    let (sys, report, record) = runner::run_flower_timed(&cfg, &name);
-                    table.row(vec![
-                        nodes.to_string(),
-                        "wan".into(),
-                        sys.engine().num_shards().to_string(),
-                        queue.to_string(),
-                        lookahead.to_string(),
-                        format!("{:.2}", record.wall_s),
-                        record.events.to_string(),
-                        f1(record.events_per_sec),
-                        record.peak_queue_depth.to_string(),
-                        record.epochs.to_string(),
-                        "—".into(),
-                        f3(report.hit_ratio),
-                        f3(report.dir_load_max_mean),
-                        report.dir_instances_live.to_string(),
-                    ]);
-                    wan_epochs.push((lookahead, record.epochs));
-                    let stats = (
-                        report.submitted,
-                        report.resolved,
-                        report.hit_ratio,
-                        sys.engine().traffic().messages(),
-                    );
-                    match &wan_base {
-                        None => wan_base = Some(stats),
-                        Some(base) => out.push_check(
-                            format!(
-                                "{nodes} nodes / wan / {shards} shards: global-floor \
-                                 statistics identical to the matrix run ({}/{} hit {:.6})",
-                                stats.0, stats.1, stats.2
-                            ),
-                            *base == stats,
-                        ),
-                    }
-                    out.metrics.push(MetricsRecord {
-                        experiment: name.clone(),
-                        sim_key: name.trim_end_matches("/glf").to_string(),
-                        shards: sys.engine().num_shards(),
-                        set: sys.engine().metrics().clone(),
-                    });
-                    out.bench.push(record);
-                }
-                let m = wan_epochs[0].1;
-                let g = wan_epochs[1].1;
-                out.push_check(
-                    format!(
-                        "{nodes} nodes / wan / {shards} shards: lookahead matrix \
-                         strictly reduces barrier epochs ({m} vs {g} global-floor)"
-                    ),
-                    m < g,
-                );
-            }
-        }
     }
     out.text = table.render();
     out.text.push_str(
         "note: wall-clock speedup needs real cores; on a single-CPU host the sweep\n\
-         still verifies shard/queue determinism while events/s stays flat.\n",
+         still verifies shard determinism while events/s stays flat.\n",
     );
     out.text.push_str(&out.render_checks());
     out.csv.push(("scale".into(), table.to_csv()));
@@ -1368,9 +1193,8 @@ pub fn chaos_config(nodes: usize, shards: usize, seed: u64) -> SystemConfig {
             background_fraction: 0.0,
             population_skew: 0.25,
             inter_locality_floor_ms: 60,
-            event_queue: EventQueueKind::Calendar,
-            lookahead: LookaheadKind::Matrix,
             pin: false,
+            ..TopologyConfig::default()
         },
         catalog: CatalogConfig {
             num_websites: 8,
@@ -1893,43 +1717,21 @@ mod tests {
 
     #[test]
     #[ignore = "runs multi-thousand-node simulations; use --release -- --ignored"]
-    fn scale_sweep_is_shard_queue_and_lookahead_deterministic() {
+    fn scale_sweep_is_shard_deterministic() {
         let out = scale(&ScaleParams {
             nodes: vec![2000],
             shards: vec![1, 2, 4],
-            queues: vec![EventQueueKind::Calendar, EventQueueKind::Heap],
-            lookaheads: vec![LookaheadKind::Matrix, LookaheadKind::GlobalFloor],
             instance_bits: vec![0],
             horizon: SimDuration::from_secs(20),
             seed: 9,
-            wan: true,
             pin: false,
         });
         assert!(out.all_passed(), "{}", out.render_checks());
-        assert_eq!(
-            out.bench.len(),
-            16,
-            "12 sweep cells + 4 wan comparison cells"
-        );
+        assert_eq!(out.bench.len(), 3, "one cell per shard count");
         assert!(out.bench.iter().all(|r| r.events > 0));
         assert_eq!(out.bench[0].events, out.bench[1].events);
-        assert_eq!(out.bench[0].queue, EventQueueKind::Calendar);
-        assert!(
-            out.bench[1].experiment.ends_with("/glf"),
-            "global-floor cells are suffixed"
-        );
-        // Multi-shard matrix cells must not out-synchronize their
-        // global-floor twins (also asserted as shape checks above).
-        let epochs = |exp: &str, shards: usize| {
-            out.bench
-                .iter()
-                .find(|r| {
-                    r.experiment == exp && r.shards == shards && r.queue == EventQueueKind::Calendar
-                })
-                .map(|r| r.epochs)
-                .unwrap()
-        };
-        assert!(epochs("scale/2000n", 2) <= epochs("scale/2000n/glf", 2));
+        assert_eq!(out.bench[0].epochs, 0, "1 shard has no barrier");
+        assert!(out.bench[1].epochs > 0, "sharded runs count rounds");
     }
 
     #[test]
@@ -1941,12 +1743,9 @@ mod tests {
         let out = scale(&ScaleParams {
             nodes: vec![20_000],
             shards: vec![1, 2, 4],
-            queues: vec![EventQueueKind::Calendar],
-            lookaheads: vec![LookaheadKind::Matrix],
             instance_bits: vec![0, 1, 2],
             horizon: SimDuration::from_secs(30),
             seed: 42,
-            wan: false,
             pin: false,
         });
         assert!(out.all_passed(), "{}", out.render_checks());

@@ -8,20 +8,14 @@
 //! equality across execution variants) and the per-subsystem
 //! attribution table rendered into the CI step summary.
 //!
-//! The parser is hand-rolled for exactly the document shape
-//! [`crate::report::bench_json`] emits (the build environment has no
-//! serde): a flat object with `schema`/`host` strings and a `records`
-//! array of flat objects with string, number and `null` fields. Every
-//! schema from `v1` through the current `v6` is accepted, so the gate
-//! keeps working across schema bumps: `v1` (no `queue` field; records
-//! default to the heap backend that was the only implementation
-//! then), `v2` (no `dir_load_max_mean` column; defaults to 0), `v3`
-//! (no `epochs` barrier-round column; defaults to 0), `v4` (no
-//! `cores`/`fused_rounds`/barrier-idle columns; `cores` falls back to
-//! the count parsed from the `host` string, the rest default to 0),
-//! `v5` (no `peak_rss_mb` column; backfilled as `None`, i.e. "not
-//! measured" — memory deltas are *reported* in the summary but never
-//! gate the build).
+//! Both documents go through one hand-rolled JSON tree parser (the
+//! build environment has no serde) and typed field getters. Only the
+//! current bench schema ([`BENCH_SCHEMA`]) is read: a document of any
+//! other version is rejected with an error naming its schema, and
+//! every record field is required. Count fields must be non-negative
+//! integers; `peak_rss_mb` is a number or `null` ("not measured" —
+//! memory deltas are *reported* in the summary but never gate the
+//! build).
 //!
 //! Records are matched **within one core count only**: throughput on
 //! a 1-core container says nothing about an 8-core runner, so a
@@ -31,65 +25,36 @@
 
 use std::fmt::Write as _;
 
-use simnet::EventQueueKind;
-
 use crate::report::{BenchRecord, BENCH_SCHEMA};
 
-/// A parsed `BENCH_engine.json`.
+/// A parsed `BENCH_engine.json` (schema [`BENCH_SCHEMA`]).
 #[derive(Clone, Debug)]
 pub struct BenchDoc {
-    /// Schema tag (`flower-cdn/bench-engine/v1` through `v6`).
-    pub schema: String,
-    /// Free-form host description (core count, arch, queue backend).
+    /// Free-form host description (core count, arch).
     pub host: String,
     /// The measurements.
     pub records: Vec<BenchRecord>,
 }
 
 /// Identity of a measured point: two records are comparable when the
-/// experiment cell, population, shard count, queue backend, simulated
-/// horizon *and host core count* all agree.
-fn match_key(r: &BenchRecord) -> (String, usize, usize, EventQueueKind, u64, usize) {
-    (
-        r.experiment.clone(),
-        r.nodes,
-        r.shards,
-        r.queue,
-        r.sim_ms,
-        r.cores,
-    )
+/// experiment cell, population, shard count, simulated horizon *and
+/// host core count* all agree.
+fn match_key(r: &BenchRecord) -> (String, usize, usize, u64, usize) {
+    (r.experiment.clone(), r.nodes, r.shards, r.sim_ms, r.cores)
 }
 
 /// As [`match_key`] without the core count — used to tell a *new*
 /// cell (nothing like it in the baseline) from a *skipped* one (same
 /// cell, measured on a host with a different core count).
-fn cell_key(r: &BenchRecord) -> (String, usize, usize, EventQueueKind, u64) {
-    (r.experiment.clone(), r.nodes, r.shards, r.queue, r.sim_ms)
-}
-
-/// The core count a host string like `"8 cpus, x86_64, …"` advertises
-/// (every emitter since `v1` has used that shape); `None` when the
-/// string does not lead with an integer.
-fn host_cores(host: &str) -> Option<usize> {
-    let digits: String = host.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+fn cell_key(r: &BenchRecord) -> (String, usize, usize, u64) {
+    (r.experiment.clone(), r.nodes, r.shards, r.sim_ms)
 }
 
 // ---------------------------------------------------------------- //
 // Parsing                                                          //
 // ---------------------------------------------------------------- //
 
-#[derive(Debug, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    /// JSON `null` — used by nullable columns (`peak_rss_mb`) for
-    /// "not measured".
-    Null,
-}
-
-/// A full JSON tree — the `METRICS.json` document nests objects and
-/// arrays, so the flat-scalar [`Value`] is not enough there.
+/// A JSON tree.
 #[derive(Debug, PartialEq)]
 enum Json {
     Str(String),
@@ -100,33 +65,49 @@ enum Json {
 }
 
 impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
+    fn field<'a>(&'a self, key: &str, what: &str) -> Result<&'a Json, String> {
         match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+            Json::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .ok_or_else(|| format!("{what}: missing field {key:?}")),
+            _ => Err(format!("{what}: not an object")),
         }
     }
 
     fn str_field(&self, key: &str, what: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("{what}: missing string field {key:?}")),
+        match self.field(key, what)? {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(format!("{what}: field {key:?} must be a string")),
+        }
+    }
+
+    fn f64_field(&self, key: &str, what: &str) -> Result<f64, String> {
+        match self.field(key, what)? {
+            Json::Num(n) => Ok(*n),
+            _ => Err(format!("{what}: field {key:?} must be a number")),
         }
     }
 
     fn u64_field(&self, key: &str, what: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
+        match self.field(key, what)? {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
             _ => Err(format!(
                 "{what}: field {key:?} must be a non-negative integer"
             )),
         }
     }
 
+    fn usize_field(&self, key: &str, what: &str) -> Result<usize, String> {
+        usize::try_from(self.u64_field(key, what)?)
+            .map_err(|_| format!("{what}: field {key:?} is out of range"))
+    }
+
     fn arr_field<'a>(&'a self, key: &str, what: &str) -> Result<&'a [Json], String> {
-        match self.get(key) {
-            Some(Json::Arr(items)) => Ok(items),
-            _ => Err(format!("{what}: missing array field {key:?}")),
+        match self.field(key, what)? {
+            Json::Arr(items) => Ok(items),
+            _ => Err(format!("{what}: field {key:?} must be an array")),
         }
     }
 }
@@ -145,7 +126,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, what: &str) -> String {
-        format!("bench json: {what} at byte {}", self.i)
+        format!("json: {what} at byte {}", self.i)
     }
 
     fn ws(&mut self) {
@@ -221,24 +202,6 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.err("bad number"))
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'n') => {
-                if self.s[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Ok(Value::Null)
-                } else {
-                    Err(self.err("expected null"))
-                }
-            }
-            Some(_) => Ok(Value::Num(self.number()?)),
-            None => Err(self.err("unexpected end")),
-        }
-    }
-
-    /// A full JSON tree (used by the `METRICS.json` parser, whose
-    /// records nest arrays of objects).
     fn json(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'{') => {
@@ -271,168 +234,63 @@ impl<'a> Parser<'a> {
                     self.expect(b',')?;
                 }
             }
-            _ => Ok(match self.value()? {
-                Value::Str(s) => Json::Str(s),
-                Value::Num(n) => Json::Num(n),
-                Value::Null => Json::Null,
-            }),
-        }
-    }
-
-    /// A flat `{"key": scalar, ...}` object.
-    fn flat_object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.eat(b'}') {
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            if self.eat(b'}') {
-                return Ok(fields);
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'n') => {
+                if self.s[self.i..].starts_with(b"null") {
+                    self.i += 4;
+                    Ok(Json::Null)
+                } else {
+                    Err(self.err("expected null"))
+                }
             }
-            self.expect(b',')?;
+            Some(_) => Ok(Json::Num(self.number()?)),
+            None => Err(self.err("unexpected end")),
         }
     }
 }
 
-fn record_from_fields(fields: Vec<(String, Value)>, idx: usize) -> Result<BenchRecord, String> {
-    let mut r = BenchRecord {
-        experiment: String::new(),
-        nodes: 0,
-        shards: 0,
-        // v1 documents predate the calendar backend.
-        queue: EventQueueKind::Heap,
-        wall_s: 0.0,
-        events: 0,
-        events_per_sec: 0.0,
-        peak_queue_depth: 0,
-        sim_ms: 0,
-        // v1/v2 documents predate the directory-load column.
-        dir_load_max_mean: 0.0,
-        // v1–v3 documents predate the epochs column.
-        epochs: 0,
-        // v1–v4 documents predate the multi-core columns; `cores` is
-        // backfilled from the host string by [`parse_bench`].
-        cores: 0,
-        fused_rounds: 0,
-        barrier_idle_mean_s: 0.0,
-        barrier_idle_max_s: 0.0,
-        // v1–v5 documents predate the peak-RSS column; `None` means
-        // "not measured", which the memory report renders as a dash.
-        peak_rss_mb: None,
-    };
-    let mut seen_experiment = false;
-    for (key, value) in fields {
-        let bad = || format!("record {idx}: field {key:?} has the wrong type");
-        match (key.as_str(), value) {
-            ("experiment", Value::Str(s)) => {
-                r.experiment = s;
-                seen_experiment = true;
-            }
-            ("queue", Value::Str(s)) => r.queue = EventQueueKind::parse(&s)?,
-            ("nodes", Value::Num(n)) => r.nodes = n as usize,
-            ("shards", Value::Num(n)) => r.shards = n as usize,
-            ("wall_s", Value::Num(n)) => r.wall_s = n,
-            ("events", Value::Num(n)) => r.events = n as u64,
-            ("events_per_sec", Value::Num(n)) => r.events_per_sec = n,
-            ("peak_queue_depth", Value::Num(n)) => r.peak_queue_depth = n as usize,
-            ("sim_ms", Value::Num(n)) => r.sim_ms = n as u64,
-            ("dir_load_max_mean", Value::Num(n)) => r.dir_load_max_mean = n,
-            ("epochs", Value::Num(n)) => r.epochs = n as u64,
-            ("cores", Value::Num(n)) => r.cores = n as usize,
-            ("fused_rounds", Value::Num(n)) => r.fused_rounds = n as u64,
-            ("barrier_idle_mean_s", Value::Num(n)) => r.barrier_idle_mean_s = n,
-            ("barrier_idle_max_s", Value::Num(n)) => r.barrier_idle_max_s = n,
-            ("peak_rss_mb", Value::Num(n)) => r.peak_rss_mb = Some(n),
-            ("peak_rss_mb", Value::Null) => r.peak_rss_mb = None,
-            (
-                "experiment"
-                | "queue"
-                | "nodes"
-                | "shards"
-                | "wall_s"
-                | "events"
-                | "events_per_sec"
-                | "peak_queue_depth"
-                | "sim_ms"
-                | "dir_load_max_mean"
-                | "epochs"
-                | "cores"
-                | "fused_rounds"
-                | "barrier_idle_mean_s"
-                | "barrier_idle_max_s"
-                | "peak_rss_mb",
-                _,
-            ) => return Err(bad()),
-            _ => {} // unknown fields: forward compatibility
-        }
-    }
-    if !seen_experiment {
-        return Err(format!("record {idx}: missing \"experiment\""));
-    }
-    Ok(r)
+fn bench_record(v: &Json, what: &str) -> Result<BenchRecord, String> {
+    Ok(BenchRecord {
+        experiment: v.str_field("experiment", what)?,
+        nodes: v.usize_field("nodes", what)?,
+        shards: v.usize_field("shards", what)?,
+        wall_s: v.f64_field("wall_s", what)?,
+        events: v.u64_field("events", what)?,
+        events_per_sec: v.f64_field("events_per_sec", what)?,
+        peak_queue_depth: v.usize_field("peak_queue_depth", what)?,
+        sim_ms: v.u64_field("sim_ms", what)?,
+        dir_load_max_mean: v.f64_field("dir_load_max_mean", what)?,
+        epochs: v.u64_field("epochs", what)?,
+        cores: v.usize_field("cores", what)?,
+        fused_rounds: v.u64_field("fused_rounds", what)?,
+        barrier_idle_mean_s: v.f64_field("barrier_idle_mean_s", what)?,
+        barrier_idle_max_s: v.f64_field("barrier_idle_max_s", what)?,
+        peak_rss_mb: match v.field("peak_rss_mb", what)? {
+            Json::Null => None,
+            _ => Some(v.f64_field("peak_rss_mb", what)?),
+        },
+    })
 }
 
-/// Parse a `BENCH_engine.json` document.
+/// Parse a `BENCH_engine.json` document of schema [`BENCH_SCHEMA`].
 pub fn parse_bench(json: &str) -> Result<BenchDoc, String> {
-    let mut p = Parser::new(json);
-    let mut doc = BenchDoc {
-        schema: String::new(),
-        host: String::new(),
-        records: Vec::new(),
-    };
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        match key.as_str() {
-            "schema" => doc.schema = p.string()?,
-            "host" => doc.host = p.string()?,
-            "records" => {
-                p.expect(b'[')?;
-                if !p.eat(b']') {
-                    loop {
-                        let fields = p.flat_object()?;
-                        doc.records
-                            .push(record_from_fields(fields, doc.records.len())?);
-                        if p.eat(b']') {
-                            break;
-                        }
-                        p.expect(b',')?;
-                    }
-                }
-            }
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-        if p.eat(b'}') {
-            break;
-        }
-        p.expect(b',')?;
+    let tree = Parser::new(json).json()?;
+    let schema = tree.str_field("schema", "document")?;
+    if schema != BENCH_SCHEMA {
+        return Err(format!(
+            "unsupported schema {schema:?}: only {BENCH_SCHEMA} is read"
+        ));
     }
-    match doc.schema.as_str() {
-        "flower-cdn/bench-engine/v1"
-        | "flower-cdn/bench-engine/v2"
-        | "flower-cdn/bench-engine/v3"
-        | "flower-cdn/bench-engine/v4"
-        | "flower-cdn/bench-engine/v5"
-        | BENCH_SCHEMA => {
-            // Pre-v5 records carry no `cores` column; the host string
-            // has advertised the core count since v1, so backfill the
-            // gate's comparison key from it.
-            if let Some(cores) = host_cores(&doc.host) {
-                for r in &mut doc.records {
-                    if r.cores == 0 {
-                        r.cores = cores;
-                    }
-                }
-            }
-            Ok(doc)
-        }
-        other => Err(format!("unsupported schema {other:?}")),
-    }
+    let records = tree
+        .arr_field("records", "document")?
+        .iter()
+        .enumerate()
+        .map(|(i, r)| bench_record(r, &format!("record {i}")))
+        .collect::<Result<_, _>>()?;
+    Ok(BenchDoc {
+        host: tree.str_field("host", "document")?,
+        records,
+    })
 }
 
 // ---------------------------------------------------------------- //
@@ -451,8 +309,8 @@ pub struct GateRow {
     /// True if this point regressed beyond the tolerance.
     pub failed: bool,
     /// Baseline peak RSS at the same point (`None` when the baseline
-    /// predates the v6 column). Memory is *reported*, never gated —
-    /// see [`MEM_REPORT_GROWTH`].
+    /// did not measure it). Memory is *reported*, never gated — see
+    /// [`MEM_REPORT_GROWTH`].
     pub base_rss_mb: Option<f64>,
 }
 
@@ -528,9 +386,9 @@ impl GateReport {
         );
         let _ = writeln!(
             out,
-            "| experiment | nodes | shards | queue | baseline ev/s | fresh ev/s | Δ | epochs | peak RSS | gate |"
+            "| experiment | nodes | shards | baseline ev/s | fresh ev/s | Δ | epochs | peak RSS | gate |"
         );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
         let epochs_cell = |r: &BenchRecord| {
             if r.shards > 1 {
                 r.epochs.to_string()
@@ -549,11 +407,10 @@ impl GateReport {
             let r = &row.fresh;
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | {:.0} | {:.0} | {:+.1}% | {} | {} | {} |",
+                "| {} | {} | {} | {:.0} | {:.0} | {:+.1}% | {} | {} | {} |",
                 r.experiment,
                 r.nodes,
                 r.shards,
-                r.queue,
                 row.base_eps,
                 r.events_per_sec,
                 row.delta * 100.0,
@@ -565,11 +422,10 @@ impl GateReport {
         for r in &self.unmatched {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | — | {:.0} | — | {} | {} | new |",
+                "| {} | {} | {} | — | {:.0} | — | {} | {} | new |",
                 r.experiment,
                 r.nodes,
                 r.shards,
-                r.queue,
                 r.events_per_sec,
                 epochs_cell(r),
                 rss_cell(r.peak_rss_mb, None)
@@ -578,11 +434,10 @@ impl GateReport {
         for r in &self.skipped_cores {
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {} | — | {:.0} | — | {} | {} | skip ({} cores ≠ baseline) |",
+                "| {} | {} | {} | — | {:.0} | — | {} | {} | skip ({} cores ≠ baseline) |",
                 r.experiment,
                 r.nodes,
                 r.shards,
-                r.queue,
                 r.events_per_sec,
                 epochs_cell(r),
                 rss_cell(r.peak_rss_mb, None),
@@ -627,8 +482,8 @@ impl GateReport {
 }
 
 /// Compare `fresh` against `baseline`: every fresh point that exists
-/// in the baseline (same experiment, nodes, shards, queue, sim_ms
-/// *and cores*) must not lose more than `max_drop` of its
+/// in the baseline (same experiment, nodes, shards, sim_ms *and
+/// cores*) must not lose more than `max_drop` of its
 /// events/second. A fresh point whose baseline twin differs only in
 /// core count lands in [`GateReport::skipped_cores`] — the caller
 /// should surface a skip, never call it a pass or a regression.
@@ -790,10 +645,7 @@ fn metric_hist_point(v: &Json, what: &str) -> Result<MetricHistPoint, String> {
 /// Parse a `METRICS.json` document (schema v1 only — the format is
 /// new; accept-old-schemas leniency starts with v2).
 pub fn parse_metrics(json: &str) -> Result<MetricsDoc, String> {
-    let mut p = Parser::new(json);
-    let tree = p
-        .json()
-        .map_err(|e| e.replace("bench json", "metrics json"))?;
+    let tree = Parser::new(json).json()?;
     let schema = tree.str_field("schema", "document")?;
     if schema != metrics::METRICS_SCHEMA_NAME {
         return Err(format!("unsupported metrics schema {schema:?}"));
@@ -805,7 +657,7 @@ pub fn parse_metrics(json: &str) -> Result<MetricsDoc, String> {
         let mut rec = MetricsRecordDoc {
             experiment: r.str_field("experiment", &what)?,
             sim_key: r.str_field("sim_key", &what)?,
-            shards: r.u64_field("shards", &what)? as usize,
+            shards: r.usize_field("shards", &what)?,
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
@@ -844,7 +696,7 @@ pub fn parse_metrics(json: &str) -> Result<MetricsDoc, String> {
 ///    ascending, per-bucket counts summing to `count`, and `sum`
 ///    inside the value bounds the occupied buckets allow.
 /// 5. Sim-scope determinism: records sharing a `sim_key` (same
-///    simulation under different shard/queue/lookahead knobs) agree
+///    simulation under different shard counts) agree
 ///    exactly on every `sim`-scope counter, gauge and histogram.
 pub fn validate_metrics(doc: &MetricsDoc) -> Result<(), String> {
     if doc.records.is_empty() {
@@ -1087,12 +939,11 @@ mod tests {
     use super::*;
     use crate::report::bench_json;
 
-    fn record(nodes: usize, shards: usize, queue: EventQueueKind, eps: f64) -> BenchRecord {
+    fn record(nodes: usize, shards: usize, eps: f64) -> BenchRecord {
         BenchRecord {
             experiment: format!("scale/{nodes}n"),
             nodes,
             shards,
-            queue,
             wall_s: 1.0,
             events: (eps * 1.0) as u64,
             events_per_sec: eps,
@@ -1112,130 +963,107 @@ mod tests {
     fn roundtrips_through_the_emitter() {
         // One record without an RSS measurement: `null` must survive
         // the emit → parse cycle as `None`.
-        let mut no_rss = record(20_000, 2, EventQueueKind::Heap, 400_000.5);
+        let mut no_rss = record(20_000, 2, 400_000.5);
         no_rss.peak_rss_mb = None;
-        let records = vec![
-            record(20_000, 1, EventQueueKind::Calendar, 500_000.0),
-            no_rss,
-        ];
-        let doc = parse_bench(&bench_json("4 cpus, x86_64, queue=calendar", &records)).unwrap();
-        assert_eq!(doc.schema, BENCH_SCHEMA);
-        assert_eq!(doc.host, "4 cpus, x86_64, queue=calendar");
+        let records = vec![record(20_000, 1, 500_000.0), no_rss];
+        let doc = parse_bench(&bench_json("4 cpus, x86_64", &records)).unwrap();
+        assert_eq!(doc.host, "4 cpus, x86_64");
         assert_eq!(doc.records, records);
     }
 
-    #[test]
-    fn parses_v2_documents_without_dir_load_column() {
-        let v2 = r#"{
-  "schema": "flower-cdn/bench-engine/v2",
-  "host": "1 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 1, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000}
-  ]
-}"#;
-        let doc = parse_bench(v2).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].dir_load_max_mean, 0.0, "v2 = no column");
-        assert_eq!(doc.records[0].queue, EventQueueKind::Calendar);
-    }
-
-    #[test]
-    fn parses_v3_documents_without_epochs_column() {
-        let v3 = r#"{
-  "schema": "flower-cdn/bench-engine/v3",
-  "host": "1 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5}
-  ]
-}"#;
-        let doc = parse_bench(v3).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].epochs, 0, "v3 = no epochs column");
-        assert_eq!(doc.records[0].dir_load_max_mean, 1.5);
-    }
-
-    #[test]
-    fn parses_v4_documents_backfilling_cores_from_the_host() {
-        let v4 = r#"{
-  "schema": "flower-cdn/bench-engine/v4",
-  "host": "2 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5, "epochs": 512}
-  ]
-}"#;
-        let doc = parse_bench(v4).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].epochs, 512);
-        assert_eq!(doc.records[0].cores, 2, "cores come from the host string");
-        assert_eq!(doc.records[0].fused_rounds, 0, "v4 = no fused column");
-        assert_eq!(doc.records[0].barrier_idle_mean_s, 0.0);
-        assert_eq!(doc.records[0].barrier_idle_max_s, 0.0);
-    }
-
-    #[test]
-    fn parses_v5_documents_backfilling_null_rss() {
-        let v5 = r#"{
-  "schema": "flower-cdn/bench-engine/v5",
-  "host": "4 cpus, x86_64, queue=calendar",
-  "records": [
-    {"experiment": "scale/20000n", "nodes": 20000, "shards": 2, "queue": "calendar", "wall_s": 0.5, "events": 450935, "events_per_sec": 900000.0, "peak_queue_depth": 21206, "sim_ms": 60000, "dir_load_max_mean": 1.5, "epochs": 512, "cores": 4, "fused_rounds": 17, "barrier_idle_mean_s": 0.125, "barrier_idle_max_s": 0.25}
-  ]
-}"#;
-        let doc = parse_bench(v5).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].fused_rounds, 17);
-        assert_eq!(doc.records[0].peak_rss_mb, None, "v5 = no RSS column");
-    }
-
-    #[test]
-    fn parses_v1_documents_without_queue_field() {
-        let v1 = r#"{
-  "schema": "flower-cdn/bench-engine/v1",
-  "host": "1 cpus, x86_64",
-  "records": [
-    {"experiment": "scale/10000n", "nodes": 10000, "shards": 1, "wall_s": 1.067, "events": 512338, "events_per_sec": 480300.0, "peak_queue_depth": 18347, "sim_ms": 90000}
-  ]
-}"#;
-        let doc = parse_bench(v1).unwrap();
-        assert_eq!(doc.records.len(), 1);
-        assert_eq!(doc.records[0].queue, EventQueueKind::Heap, "v1 = heap era");
-        assert_eq!(doc.records[0].events, 512_338);
-        assert_eq!(doc.records[0].events_per_sec, 480_300.0);
-        assert_eq!(doc.records[0].cores, 1, "backfilled from the host string");
+    /// A one-record v7 document whose record carries `field: value`
+    /// in place of the emitter's value.
+    fn doctored(field: &str, value: &str) -> String {
+        let json = bench_json("h", &[record(20_000, 2, 1e5)]);
+        let start = json.find(&format!("\"{field}\": ")).unwrap() + field.len() + 4;
+        let end = start + json[start..].find([',', '}']).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
     }
 
     #[test]
     fn rejects_malformed_documents() {
         assert!(parse_bench("").is_err());
-        assert!(parse_bench("{}").unwrap_err().contains("expected"));
+        assert!(parse_bench("{}").unwrap_err().contains("missing"));
         assert!(
             parse_bench(r#"{"schema": "nope", "host": "h", "records": []}"#)
                 .unwrap_err()
                 .contains("unsupported schema")
         );
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v2", "records": [{"nodes": 5}]}"#
-        )
-        .unwrap_err()
-        .contains("missing"),);
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v2", "records": [{"experiment": 7}]}"#
-        )
-        .unwrap_err()
-        .contains("wrong type"));
+        let v7 = |records: &str| {
+            format!(r#"{{"schema": "{BENCH_SCHEMA}", "host": "h", "records": [{records}]}}"#)
+        };
+        assert!(parse_bench(&v7(r#"{"nodes": 5}"#))
+            .unwrap_err()
+            .contains("missing field \"experiment\""));
+        assert!(parse_bench(&v7(r#"{"experiment": 7}"#))
+            .unwrap_err()
+            .contains("must be a string"));
+        // Every column is required: no backfilled defaults.
+        assert!(parse_bench(&v7(r#"{"experiment": "x", "nodes": 5}"#))
+            .unwrap_err()
+            .contains("missing field \"shards\""));
         // `null` is only legal for the nullable column.
-        assert!(parse_bench(
-            r#"{"schema": "flower-cdn/bench-engine/v6", "records": [{"experiment": "x", "nodes": null}]}"#
-        )
-        .unwrap_err()
-        .contains("wrong type"));
+        assert!(parse_bench(&doctored("nodes", "null"))
+            .unwrap_err()
+            .contains("non-negative integer"));
+        assert!(parse_bench(&doctored("wall_s", "null"))
+            .unwrap_err()
+            .contains("must be a number"));
+        assert_eq!(
+            parse_bench(&doctored("peak_rss_mb", "null"))
+                .unwrap()
+                .records[0]
+                .peak_rss_mb,
+            None
+        );
+    }
+
+    #[test]
+    fn rejects_negative_counts() {
+        let err = parse_bench(&doctored("nodes", "-5")).unwrap_err();
+        assert!(
+            err.contains("record 0: field \"nodes\" must be a non-negative integer"),
+            "{err}"
+        );
+        assert!(parse_bench(&doctored("events", "-1")).is_err());
+    }
+
+    #[test]
+    fn rejects_fractional_counts() {
+        for field in [
+            "nodes",
+            "shards",
+            "events",
+            "peak_queue_depth",
+            "sim_ms",
+            "epochs",
+            "cores",
+            "fused_rounds",
+        ] {
+            let err = parse_bench(&doctored(field, "1.5")).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{field}: {err}");
+        }
+        // Measurements stay real-valued.
+        assert_eq!(
+            parse_bench(&doctored("wall_s", "1.5")).unwrap().records[0].wall_s,
+            1.5
+        );
+    }
+
+    #[test]
+    fn rejects_v6_documents_by_schema_name() {
+        let v6 = bench_json("4 cpus, x86_64, queue=calendar", &[record(20_000, 1, 1e5)])
+            .replace(BENCH_SCHEMA, "flower-cdn/bench-engine/v6");
+        let err = parse_bench(&v6).unwrap_err();
+        assert!(err.contains("flower-cdn/bench-engine/v6"), "{err}");
+        assert!(err.contains(BENCH_SCHEMA), "{err}");
     }
 
     #[test]
     fn memory_regressions_are_reported_not_gated() {
-        let mut base = record(20_000, 1, EventQueueKind::Calendar, 1e5);
+        let mut base = record(20_000, 1, 1e5);
         base.peak_rss_mb = Some(100.0);
-        let mut fresh_r = record(20_000, 1, EventQueueKind::Calendar, 1e5);
+        let mut fresh_r = record(20_000, 1, 1e5);
         fresh_r.peak_rss_mb = Some(150.0);
         let report = compare(&doc("h", vec![base]), &doc("h", vec![fresh_r]), 0.20);
         assert!(report.passed(), "RSS growth must never fail the gate");
@@ -1244,8 +1072,8 @@ mod tests {
         assert!(md.contains("Memory report (informational"), "{md}");
         // No note when memory is flat.
         let flat = compare(
-            &doc("h", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]),
-            &doc("h", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]),
+            &doc("h", vec![record(20_000, 1, 1e5)]),
+            &doc("h", vec![record(20_000, 1, 1e5)]),
             0.20,
         );
         assert!(!flat.to_markdown().contains("Memory report"));
@@ -1253,7 +1081,6 @@ mod tests {
 
     fn doc(host: &str, records: Vec<BenchRecord>) -> BenchDoc {
         BenchDoc {
-            schema: BENCH_SCHEMA.into(),
             host: host.into(),
             records,
         }
@@ -1263,16 +1090,13 @@ mod tests {
     fn gate_passes_within_tolerance_and_fails_beyond() {
         let baseline = doc(
             "h",
-            vec![
-                record(20_000, 1, EventQueueKind::Calendar, 100_000.0),
-                record(20_000, 2, EventQueueKind::Calendar, 100_000.0),
-            ],
+            vec![record(20_000, 1, 100_000.0), record(20_000, 2, 100_000.0)],
         );
         let fresh = doc(
             "h",
             vec![
-                record(20_000, 1, EventQueueKind::Calendar, 85_000.0), // −15%: ok
-                record(20_000, 2, EventQueueKind::Calendar, 75_000.0), // −25%: fail
+                record(20_000, 1, 85_000.0), // −15%: ok
+                record(20_000, 2, 75_000.0), // −25%: fail
             ],
         );
         let report = compare(&baseline, &fresh, 0.20);
@@ -1286,13 +1110,13 @@ mod tests {
 
     #[test]
     fn gate_treats_unmatched_points_as_new() {
-        let baseline = doc("a", vec![record(20_000, 1, EventQueueKind::Calendar, 1e5)]);
+        let baseline = doc("a", vec![record(20_000, 1, 1e5)]);
         let fresh = doc(
             "b",
             vec![
-                record(20_000, 1, EventQueueKind::Calendar, 1e5),
-                // Different queue backend: no baseline counterpart.
-                record(20_000, 1, EventQueueKind::Heap, 1e3),
+                record(20_000, 1, 1e5),
+                // Different shard count: no baseline counterpart.
+                record(20_000, 4, 1e3),
             ],
         );
         let report = compare(&baseline, &fresh, 0.20);
@@ -1305,8 +1129,8 @@ mod tests {
 
     #[test]
     fn improvements_never_fail() {
-        let baseline = doc("h", vec![record(10_000, 1, EventQueueKind::Heap, 1e5)]);
-        let fresh = doc("h", vec![record(10_000, 1, EventQueueKind::Heap, 9e5)]);
+        let baseline = doc("h", vec![record(10_000, 1, 1e5)]);
+        let fresh = doc("h", vec![record(10_000, 1, 9e5)]);
         let report = compare(&baseline, &fresh, 0.20);
         assert!(report.passed());
         assert!(report.rows[0].delta > 7.0);
@@ -1317,11 +1141,8 @@ mod tests {
         // Baseline measured on 4 cores (the record() default); the
         // fresh run lands on 8 — same cell otherwise, and even a huge
         // apparent drop must not fail (or silently pass) the gate.
-        let baseline = doc(
-            "4 cpus, x86_64",
-            vec![record(20_000, 2, EventQueueKind::Calendar, 1e6)],
-        );
-        let mut slow = record(20_000, 2, EventQueueKind::Calendar, 1e4);
+        let baseline = doc("4 cpus, x86_64", vec![record(20_000, 2, 1e6)]);
+        let mut slow = record(20_000, 2, 1e4);
         slow.cores = 8;
         let fresh = doc("8 cpus, x86_64", vec![slow]);
         let report = compare(&baseline, &fresh, 0.20);
@@ -1537,8 +1358,8 @@ mod tests {
 
     #[test]
     fn chaos_cells_absent_from_the_baseline_are_an_explicit_skip() {
-        let baseline = doc("h", vec![record(20_000, 2, EventQueueKind::Calendar, 1e6)]);
-        let mut chaos_cell = record(2_000, 1, EventQueueKind::Calendar, 5e5);
+        let baseline = doc("h", vec![record(20_000, 2, 1e6)]);
+        let mut chaos_cell = record(2_000, 1, 5e5);
         chaos_cell.experiment = "chaos/partition".into();
         let fresh = doc("h", vec![chaos_cell.clone()]);
         let report = compare(&baseline, &fresh, 0.2);
@@ -1546,13 +1367,7 @@ mod tests {
         assert!(!report.core_skip());
         // A fresh doc mixing chaos cells with a comparable scale cell
         // is a real comparison, not a skip.
-        let mixed = doc(
-            "h",
-            vec![
-                chaos_cell,
-                record(20_000, 2, EventQueueKind::Calendar, 1.1e6),
-            ],
-        );
+        let mixed = doc("h", vec![chaos_cell, record(20_000, 2, 1.1e6)]);
         let report2 = compare(&baseline, &mixed, 0.2);
         assert!(!report2.chaos_skip());
         assert_eq!(report2.rows.len(), 1);
@@ -1563,13 +1378,10 @@ mod tests {
         // A baseline holding both a 4-core and an 8-core measurement
         // of the same cell: the fresh 8-core point compares against
         // the 8-core twin only.
-        let mut base8 = record(20_000, 2, EventQueueKind::Calendar, 2e6);
+        let mut base8 = record(20_000, 2, 2e6);
         base8.cores = 8;
-        let baseline = doc(
-            "mixed",
-            vec![record(20_000, 2, EventQueueKind::Calendar, 1e6), base8],
-        );
-        let mut fresh8 = record(20_000, 2, EventQueueKind::Calendar, 1.9e6);
+        let baseline = doc("mixed", vec![record(20_000, 2, 1e6), base8]);
+        let mut fresh8 = record(20_000, 2, 1.9e6);
         fresh8.cores = 8;
         let report = compare(&baseline, &doc("8 cpus", vec![fresh8]), 0.20);
         assert_eq!(report.rows.len(), 1);

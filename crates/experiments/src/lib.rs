@@ -9,7 +9,8 @@
 //! * [`report`] — fixed-width table, CSV and `BENCH_engine.json`
 //!   rendering;
 //! * [`gate`] — the CI bench-regression gate: parse two
-//!   `BENCH_engine.json` documents and fail on a throughput drop;
+//!   `BENCH_engine.json` documents (schema v7, the only one read) and
+//!   fail on a throughput drop;
 //! * [`exps`] — one function per table/figure, each returning a
 //!   printable report and checking the qualitative invariants
 //!   (who wins, by what rough factor).
@@ -25,4 +26,3 @@ pub mod runner;
 
 pub use flower_core::SubstrateKind;
 pub use runner::{RunOpts, RunScale};
-pub use simnet::{EventQueueKind, LookaheadKind};

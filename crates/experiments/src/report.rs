@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 
 use metrics::{Counter, Gauge, Hist, MetricSet, METRICS_SCHEMA_NAME};
-use simnet::EventQueueKind;
 
 /// A fixed-width text table.
 #[derive(Clone, Debug)]
@@ -111,8 +110,6 @@ pub struct BenchRecord {
     pub nodes: usize,
     /// Engine shards (worker threads) used.
     pub shards: usize,
-    /// Event-queue backend the engine ran on.
-    pub queue: EventQueueKind,
     /// Wall-clock seconds of the run (simulation only, build
     /// excluded).
     pub wall_s: f64,
@@ -126,27 +123,23 @@ pub struct BenchRecord {
     pub sim_ms: u64,
     /// §5.3 PetalUp: per-instance directory query load imbalance
     /// (hottest instance over mean petal load) at the end of the run;
-    /// 0.0 for records that predate the column or runs with no
-    /// directory traffic.
+    /// 0.0 for runs with no directory traffic.
     pub dir_load_max_mean: f64,
     /// Barrier rounds the sharded engine executed (0 on single-shard
-    /// runs, which have no barrier, and for records predating the
-    /// column). The adaptive lookahead matrix exists to shrink this:
-    /// compare a cell against its `/glf` (global-floor) twin.
+    /// runs, which have no barrier).
     pub epochs: u64,
-    /// Logical cores of the host the record was measured on (0 for
-    /// records predating the column). Throughput numbers are only
-    /// comparable within one core count, so the regression gate keys
-    /// its record matching on this field.
+    /// Logical cores of the host the record was measured on.
+    /// Throughput numbers are only comparable within one core count,
+    /// so the regression gate keys its record matching on this field.
     pub cores: usize,
     /// Of the `epochs`, how many were fused solo rounds (a lone
     /// working shard running ahead while the rest skip the round); 0
-    /// for single-shard runs and records predating the column.
+    /// for single-shard runs.
     pub fused_rounds: u64,
     /// Mean over shards of the wall-clock seconds each shard thread
     /// spent waiting at the epoch barrier — the synchronization +
     /// load-imbalance overhead of the parallel run (0.0 on
-    /// single-shard runs and for records predating the column).
+    /// single-shard runs).
     pub barrier_idle_mean_s: f64,
     /// Maximum over shards of the barrier-wait seconds (the
     /// worst-placed shard; 0.0 where `barrier_idle_mean_s` is 0.0).
@@ -155,25 +148,14 @@ pub struct BenchRecord {
     /// run finished (Linux `VmHWM`; the high-water mark is monotone
     /// over a multi-cell process, so within one document a cell's
     /// value reflects the largest run up to and including it — the
-    /// biggest cell's value is the one that matters). `None` for
-    /// records predating the column (schemas v1–v5) and on platforms
-    /// without `/proc`.
+    /// biggest cell's value is the one that matters). `None` on
+    /// platforms without `/proc`.
     pub peak_rss_mb: Option<f64>,
 }
 
-/// Schema tag of the `BENCH_engine.json` document. `v2` added the
-/// per-record `queue` field (event-queue backend) and put the host
-/// core count and default queue backend into `host`; `v3` added the
-/// per-record `dir_load_max_mean` directory-load column (§5.3
-/// PetalUp); `v4` added the per-record `epochs` barrier-round count
-/// (adaptive lookahead matrix); `v5` added the per-record `cores`
-/// host-core count (the gate's comparison key), the `fused_rounds`
-/// count and the `barrier_idle_mean_s`/`barrier_idle_max_s`
-/// per-shard barrier-wait breakdown (multi-core execution); `v6`
-/// added the per-record `peak_rss_mb` process high-water RSS (`null`
-/// where unavailable) so memory regressions show up in the bench
-/// trajectory alongside throughput.
-pub const BENCH_SCHEMA: &str = "flower-cdn/bench-engine/v6";
+/// Schema tag of the `BENCH_engine.json` document — the only one the
+/// gate reads ([`crate::gate::parse_bench`]).
+pub const BENCH_SCHEMA: &str = "flower-cdn/bench-engine/v7";
 
 /// Render benchmark records as the `BENCH_engine.json` document
 /// (hand-rolled: the build environment has no serde).
@@ -193,7 +175,6 @@ pub fn bench_json(host: &str, records: &[BenchRecord]) -> String {
         let _ = writeln!(
             out,
             "    {{\"experiment\": \"{}\", \"nodes\": {}, \"shards\": {}, \
-             \"queue\": \"{}\", \
              \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"peak_queue_depth\": {}, \"sim_ms\": {}, \"dir_load_max_mean\": {:.4}, \
              \"epochs\": {}, \"cores\": {}, \"fused_rounds\": {}, \
@@ -202,7 +183,6 @@ pub fn bench_json(host: &str, records: &[BenchRecord]) -> String {
             esc(&r.experiment),
             r.nodes,
             r.shards,
-            r.queue,
             r.wall_s,
             r.events,
             r.events_per_sec,
@@ -230,9 +210,9 @@ pub struct MetricsRecord {
     /// The experiment (or sweep cell) the snapshot belongs to.
     pub experiment: String,
     /// Simulation-identity key: cells that simulate the same trace
-    /// under different *execution* knobs (shard count, queue backend,
-    /// lookahead mode) share this key, and the metrics gate asserts
-    /// their `Scope::Sim` cells are identical.
+    /// under different *execution* knobs (shard count, core pinning)
+    /// share this key, and the metrics gate asserts their `Scope::Sim`
+    /// cells are identical.
     pub sim_key: String,
     /// Engine shards the run executed on.
     pub shards: usize,
@@ -385,7 +365,6 @@ mod tests {
                 experiment: "scale".into(),
                 nodes: 20_000,
                 shards: 2,
-                queue: EventQueueKind::Calendar,
                 wall_s: 1.5,
                 events: 3_000_000,
                 events_per_sec: 2_000_000.0,
@@ -403,7 +382,6 @@ mod tests {
                 experiment: "fig\"5".into(),
                 nodes: 5000,
                 shards: 1,
-                queue: EventQueueKind::Heap,
                 wall_s: 0.25,
                 events: 100,
                 events_per_sec: 400.0,
@@ -419,7 +397,7 @@ mod tests {
             },
         ];
         let json = bench_json("test-host", &records);
-        assert!(json.contains("\"schema\": \"flower-cdn/bench-engine/v6\""));
+        assert!(json.contains("\"schema\": \"flower-cdn/bench-engine/v7\""));
         assert!(json.contains("\"peak_rss_mb\": 812.3"));
         assert!(json.contains("\"peak_rss_mb\": null"));
         assert!(json.contains("\"epochs\": 512"));
@@ -429,8 +407,10 @@ mod tests {
         assert!(json.contains("\"barrier_idle_max_s\": 0.500"));
         assert!(json.contains("\"dir_load_max_mean\": 1.9200"));
         assert!(json.contains("\"nodes\": 20000"));
-        assert!(json.contains("\"queue\": \"calendar\""));
-        assert!(json.contains("\"queue\": \"heap\""));
+        assert!(
+            !json.contains("\"queue\""),
+            "v7 records carry no queue field"
+        );
         assert!(json.contains("\"events_per_sec\": 2000000.0"));
         assert!(json.contains("fig\\\"5"), "quotes must be escaped");
         // Exactly one trailing comma between the two records.

@@ -37,7 +37,7 @@ impl Subsystem {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// A fact about the simulation — bit-identical across shard
-    /// counts, queue backends and lookahead modes; parity-pinned.
+    /// counts and core placements; parity-pinned.
     Sim,
     /// A fact about the execution — legitimately varies with the
     /// shard layout (epochs, barrier idle, queue depth).

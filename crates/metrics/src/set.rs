@@ -89,8 +89,7 @@ impl MetricSet {
     /// Every [`Scope::Sim`] cell flattened into one vector (counters,
     /// then per-histogram count/sum/buckets), for shard-parity
     /// assertions: two runs of the same simulation must produce equal
-    /// fingerprints regardless of shard count, queue backend or
-    /// lookahead mode.
+    /// fingerprints regardless of shard count or core placement.
     pub fn sim_fingerprint(&self) -> Vec<u64> {
         let mut out = Vec::new();
         for c in Counter::ALL {

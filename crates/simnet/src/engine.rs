@@ -16,12 +16,13 @@
 //! ([`Topology::shard_map`]). Each shard owns its nodes, an event
 //! queue, a clock, per-node RNG streams and a private copy of every
 //! statistics accumulator, and runs on its own thread. Shards
-//! synchronize with a *conservative epoch barrier*: the epoch length
-//! is the topology's lookahead ([`Topology::cross_locality_lookahead`]
-//! — a guaranteed lower bound on every cross-locality link latency),
-//! so a message sent during one epoch can only be due in a *later*
-//! epoch and can safely be handed to its destination shard at the
-//! barrier in between.
+//! synchronize with a *conservative epoch barrier*: a shard's epoch
+//! ends no later than the earliest instant another shard could reach
+//! it under the per-shard-pair lookaheads
+//! ([`Topology::shard_lookahead_ms`] — guaranteed lower bounds on
+//! every cross-shard link latency), so a message sent during one epoch
+//! can only be due in a *later* epoch and can safely be handed to its
+//! destination shard at the barrier in between.
 //!
 //! Determinism does not come from the barrier alone but from the event
 //! ordering: every event carries an [`EventKey`] `(time, source
@@ -65,7 +66,7 @@ use crate::event::{EventKey, EventQueue};
 use crate::stats::{QueryStats, ShardTraffic, TimeSeries, Traffic, TrafficClass};
 use crate::sync::{MailboxGrid, SenseBarrier};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Locality, LookaheadKind, NodeId, Topology};
+use crate::topology::{Locality, NodeId, Topology};
 
 /// A simulated wire message: every protocol message reports its size
 /// in bytes (for the paper's bandwidth metric) and its traffic class.
@@ -504,31 +505,6 @@ impl NodeSlab {
 /// outbox/inbox batch exchanged at the epoch barrier).
 type Staged<M> = (EventKey, Pending<M>);
 
-/// How a shard's epoch loop hands events to [`Node::on_event`].
-///
-/// Both modes process events in exactly the same [`EventKey`] order —
-/// batching only changes how much per-event engine overhead
-/// (placement resolution, liveness check, dispatch match) is paid —
-/// so results are bit-identical; `tests/batch_parity.rs` holds the
-/// engine to that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Deliver consecutive same-destination queue heads as one batch:
-    /// the destination's placement and liveness are resolved once and
-    /// the dispatch loop stays in the node's state until the head
-    /// changes destination. Simulation workloads are bursty per node
-    /// (a gossip round, a query fan-in), so batches are common. The
-    /// continuation check peeks at the *live* queue head each step —
-    /// an event emitted by the batch itself that sorts before the
-    /// remaining entries is picked up (or ends the batch) exactly as
-    /// the one-at-a-time loop would.
-    #[default]
-    Batched,
-    /// Pop and fully dispatch one event at a time — the reference
-    /// path, kept for A/B parity tests and the dispatch micro bench.
-    Single,
-}
-
 /// Internal queue payload.
 #[derive(Debug)]
 enum Pending<M> {
@@ -574,7 +550,10 @@ struct Shard<M: Message, N: Node<M>> {
     /// Reusable action buffer lent to [`Ctx`] for each handler call;
     /// drained (capacity kept) after every event.
     scratch: Vec<Action<M>>,
-    delivery: DeliveryMode,
+    /// Test oracle switch: run every epoch through the one-event
+    /// [`Shard::dispatch`] loop instead of batched delivery.
+    #[cfg(test)]
+    one_at_a_time: bool,
     /// This shard's private cells of the static metric registry:
     /// engine counters (events dispatched, per-class receives,
     /// timers, bounces, epoch/fused rounds, barrier idle) plus
@@ -680,11 +659,11 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
 
     /// Process every queued event with `key.at < limit`, in key order.
     ///
-    /// In [`DeliveryMode::Batched`] the loop peels deliverable events
-    /// off into per-destination batches ([`Shard::deliver_batch`]);
-    /// everything else — churn, drops, bounces — takes the one-event
-    /// [`Shard::dispatch`] path. The pop order is identical in both
-    /// modes.
+    /// Deliverable events are peeled off into per-destination batches
+    /// ([`Shard::deliver_batch`]); everything else — churn, drops,
+    /// bounces — takes the one-event [`Shard::dispatch`] path. Batching
+    /// only saves per-event engine overhead: the pop order is exactly
+    /// that of the one-event loop, which the tests keep as the oracle.
     fn run_epoch(
         &mut self,
         limit: SimTime,
@@ -692,42 +671,36 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        let batched = self.delivery == DeliveryMode::Batched;
+        #[cfg(test)]
+        if self.one_at_a_time {
+            while let Some((key, payload)) = self.queue.pop_if_before(limit) {
+                self.now = key.at;
+                self.dispatch(payload, topo, place, outbox);
+            }
+            return;
+        }
         while let Some((key, payload)) = self.queue.pop_if_before(limit) {
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
-            if batched {
-                match payload {
-                    Pending::App { dst, ev } if self.up.get(dst) => {
-                        self.deliver_batch(dst, ev, limit, topo, place, outbox);
-                        continue;
-                    }
-                    // A fault-cut message fails the guard and falls
-                    // through to `dispatch`, which counts the drop —
-                    // the only place that does, in both modes.
-                    Pending::Wire {
-                        from,
-                        to,
-                        size,
-                        msg,
-                    } if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) => {
-                        let class = msg.class();
-                        self.traffic.record_recv(place.local(to), class, size);
-                        self.metrics.incr(RECV_COUNTER[class.index()]);
-                        self.deliver_batch(
-                            to,
-                            Event::Recv { from, msg },
-                            limit,
-                            topo,
-                            place,
-                            outbox,
-                        );
-                        continue;
-                    }
-                    other => self.dispatch(other, topo, place, outbox),
+            match payload {
+                Pending::App { dst, ev } if self.up.get(dst) => {
+                    self.deliver_batch(dst, ev, limit, topo, place, outbox);
                 }
-            } else {
-                self.dispatch(payload, topo, place, outbox);
+                // A fault-cut message fails the guard and falls through
+                // to `dispatch`, which counts the drop — the only place
+                // that does.
+                Pending::Wire {
+                    from,
+                    to,
+                    size,
+                    msg,
+                } if self.up.get(to) && !self.fault_cut(self.now, from, to, topo) => {
+                    let class = msg.class();
+                    self.traffic.record_recv(place.local(to), class, size);
+                    self.metrics.incr(RECV_COUNTER[class.index()]);
+                    self.deliver_batch(to, Event::Recv { from, msg }, limit, topo, place, outbox);
+                }
+                other => self.dispatch(other, topo, place, outbox),
             }
         }
     }
@@ -832,8 +805,8 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         }
     }
 
-    /// Deliver one event to `dst` (known up): run the handler against
-    /// the shard's scratch action buffer, then flush the actions.
+    /// Deliver one event to `dst` (known up): a batch that never
+    /// continues, since no queued event is due before `self.now`.
     fn deliver(
         &mut self,
         dst: NodeId,
@@ -842,26 +815,7 @@ impl<M: Message, N: Node<M>> Shard<M, N> {
         place: &Placement,
         outbox: &mut [Vec<Staged<M>>],
     ) {
-        self.metrics.incr(Counter::EngineEvents);
-        if matches!(ev, Event::Timer { .. }) {
-            self.metrics.incr(Counter::EngineTimers);
-        }
-        let li = place.local(dst);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        let mut ctx = Ctx {
-            now: self.now,
-            id: dst,
-            topo,
-            rng: &mut self.slab.rngs[li],
-            query_stats: &mut self.query_stats,
-            gauges: &mut self.gauges,
-            metrics: &mut self.metrics,
-            out: &mut scratch,
-        };
-        self.nodes[li].on_event(&mut ctx, ev);
-        self.flush_actions(dst, li, &mut scratch, topo, place, outbox);
-        self.scratch = scratch;
+        self.deliver_batch(dst, ev, self.now, topo, place, outbox);
     }
 
     /// Deliver `first_ev` to `dst` (known up) and keep going while the
@@ -1018,18 +972,12 @@ pub struct Engine<M: Message, N: Node<M>> {
     shards: Vec<Shard<M, N>>,
     /// Global node id → (owning shard, local index), packed.
     place: Placement,
-    /// Epoch length for the conservative barrier (the global floor).
-    lookahead: SimDuration,
-    /// How epoch bounds are derived ([`TopologyConfig::lookahead`]).
-    ///
-    /// [`TopologyConfig::lookahead`]: crate::topology::TopologyConfig::lookahead
-    lookahead_kind: LookaheadKind,
     /// Per-shard-pair lookahead matrix (ms), row-major `K × K`: entry
     /// `[from · K + to]` lower-bounds the latency of any message from
     /// shard `from` to shard `to` ([`Topology::shard_lookahead_ms`]);
     /// `u64::MAX` on the diagonal.
     pair_lookahead_ms: Vec<u64>,
-    /// Matrix-mode bound coefficients derived from the pair
+    /// Epoch-bound coefficients derived from the pair
     /// lookaheads ([`reachability_bounds`]): `[m · K + i]` is how long
     /// after shard `m`'s earliest event anything new could become due
     /// at shard `i`, through any emission chain.
@@ -1068,10 +1016,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
 
     /// Build an engine partitioned into (up to) `shards` locality
     /// shards. Results are bit-identical for every value of `shards`;
-    /// values above the number of localities are clamped. Each shard's
-    /// event queue runs on the backend the topology selects
-    /// ([`crate::topology::TopologyConfig::event_queue`]) — also
-    /// result-neutral, see [`crate::event`].
+    /// values above the number of localities are clamped.
     pub fn with_shards(
         topo: Topology,
         nodes: Vec<N>,
@@ -1088,7 +1033,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         let n = nodes.len();
         let k = shards.min(topo.num_localities());
         let loc_shard = topo.shard_map(k);
-        let lookahead = topo.cross_locality_lookahead();
         let pair_lookahead_ms = topo.shard_lookahead_ms(&loc_shard, k);
         let reach_ms = reachability_bounds(&pair_lookahead_ms, k);
 
@@ -1118,7 +1062,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             slabs[s].push(StdRng::seed_from_u64(node_stream_seed(seed, node)));
         }
 
-        let queue_kind = topo.event_queue();
         let shards_vec = slots
             .into_iter()
             .zip(slabs)
@@ -1129,13 +1072,14 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                 nodes,
                 slab,
                 up: Liveness::all_up(n),
-                queue: EventQueue::with_kind(queue_kind),
+                queue: EventQueue::new(),
                 now: SimTime::ZERO,
                 traffic: ShardTraffic::new(members, window),
                 query_stats: QueryStats::new(window),
                 gauges: GaugeSet::new(window),
                 scratch: Vec::new(),
-                delivery: DeliveryMode::default(),
+                #[cfg(test)]
+                one_at_a_time: false,
                 metrics: MetricSet::new(),
                 fault: None,
             })
@@ -1147,12 +1091,10 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
             crate::affinity::available_cores(),
         );
         Engine {
-            lookahead_kind: topo.lookahead_kind(),
             pin: topo.pin_threads(),
             topo: std::sync::Arc::new(topo),
             shards: shards_vec,
             place,
-            lookahead,
             pair_lookahead_ms,
             reach_ms,
             now: SimTime::ZERO,
@@ -1176,19 +1118,6 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// clamped to the number of localities).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The epoch length of the conservative barrier — the global
-    /// cross-locality floor. In [`LookaheadKind::Matrix`] mode this is
-    /// the worst-case bound; the per-pair matrix entries are at least
-    /// this large.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// How epoch bounds are derived (matrix or global floor).
-    pub fn lookahead_kind(&self) -> LookaheadKind {
-        self.lookahead_kind
     }
 
     /// The per-shard-pair lookahead (ms) from shard `from` to shard
@@ -1263,23 +1192,12 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         self.pin = pin;
     }
 
-    /// The event-queue backend the shards run on.
-    pub fn queue_kind(&self) -> crate::event::EventQueueKind {
-        self.shards[0].queue.kind()
-    }
-
-    /// How events are handed to `Node::on_event` (default
-    /// [`DeliveryMode::Batched`]). Result-neutral by design — the
-    /// parity suite drives both modes against each other.
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        self.shards[0].delivery
-    }
-
-    /// Switch the delivery mode (see [`DeliveryMode`]); takes effect
-    /// from the next `run_until`.
-    pub fn set_delivery_mode(&mut self, mode: DeliveryMode) {
+    /// Run every later epoch through the one-event dispatch loop —
+    /// the reference the batched delivery path is tested against.
+    #[cfg(test)]
+    fn set_one_at_a_time(&mut self) {
         for s in &mut self.shards {
-            s.delivery = mode;
+            s.one_at_a_time = true;
         }
     }
 
@@ -1497,23 +1415,17 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// results are therefore bit-identical to that loop; only the
     /// synchronization cost halves.
     ///
-    /// Epoch bounds depend on [`LookaheadKind`]:
-    ///
-    /// * `GlobalFloor` — every shard runs the same epoch
-    ///   `[min_eff, min_eff + global lookahead)`.
-    /// * `Matrix` — shard `i` runs to
-    ///   `min over shards m of (eff[m] + reach[m][i])`, with `reach`
-    ///   the emission-chain closure of the exact pair lookaheads
-    ///   ([`reachability_bounds`]): the earliest instant anything not
-    ///   yet in `i`'s queue could become due at `i`, including replies
-    ///   that `i`'s *own* emissions may draw out of a currently idle
-    ///   peer (the `m = i` round-trip term). A fully idle peer
-    ///   constrains nobody on its own — the temporal meaning of
-    ///   "actually communicating" — and distant shard pairs
-    ///   synchronize less often. Every bound is conservative, so
-    ///   per-shard event orderings (and therefore results) are
-    ///   bit-identical to the global-floor schedule; only the
-    ///   barrier-round count shrinks.
+    /// Shard `i` runs to `min over shards m of (eff[m] + reach[m][i])`,
+    /// with `reach` the emission-chain closure of the exact pair
+    /// lookaheads ([`reachability_bounds`]): the earliest instant
+    /// anything not yet in `i`'s queue could become due at `i`,
+    /// including replies that `i`'s *own* emissions may draw out of a
+    /// currently idle peer (the `m = i` round-trip term). A fully idle
+    /// peer constrains nobody on its own — the temporal meaning of
+    /// "actually communicating" — and distant shard pairs synchronize
+    /// less often. Every bound is conservative, so per-shard event
+    /// orderings (and therefore results) are bit-identical to the
+    /// single-shard run.
     ///
     /// Rounds in which exactly one shard has any event below its
     /// bound are *fused*: the lone worker runs ahead under the
@@ -1524,9 +1436,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
     /// would otherwise spin through one lookahead window at a time.
     fn run_sharded(&mut self, deadline: SimTime, limit: SimTime) {
         let k = self.shards.len();
-        let lookahead_ms = self.lookahead.as_ms().max(1);
         let limit_ms = limit.as_ms();
-        let kind = self.lookahead_kind;
         let reach = &self.reach_ms[..];
         let barrier = SenseBarrier::new(k);
         let grid: MailboxGrid<Staged<M>> = MailboxGrid::new(k);
@@ -1621,13 +1531,10 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                         // (4) Conservative per-shard bound; identical
                         // on every thread for a given `i`.
                         let bound_of = |i: usize| -> u64 {
-                            match kind {
-                                LookaheadKind::GlobalFloor => min_eff.saturating_add(lookahead_ms),
-                                LookaheadKind::Matrix => (0..k)
-                                    .map(|m| eff[m].saturating_add(reach[m * k + i]))
-                                    .min()
-                                    .unwrap_or(u64::MAX),
-                            }
+                            (0..k)
+                                .map(|m| eff[m].saturating_add(reach[m * k + i]))
+                                .min()
+                                .unwrap_or(u64::MAX)
                         };
                         let mut working = 0usize;
                         let mut solo = 0usize;
@@ -1649,14 +1556,7 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
                             if solo == me {
                                 let inbound = (0..k)
                                     .filter(|m| *m != me)
-                                    .map(|m| match kind {
-                                        LookaheadKind::GlobalFloor => {
-                                            eff[m].saturating_add(lookahead_ms)
-                                        }
-                                        LookaheadKind::Matrix => {
-                                            eff[m].saturating_add(reach[m * k + me])
-                                        }
-                                    })
+                                    .map(|m| eff[m].saturating_add(reach[m * k + me]))
                                     .min()
                                     .unwrap_or(u64::MAX);
                                 let end = SimTime::from_ms(inbound.min(limit_ms));
@@ -1673,6 +1573,9 @@ impl<M: Message, N: Node<M>> Engine<M, N> {
         });
     }
 }
+
+#[cfg(test)]
+mod batch_parity;
 
 #[cfg(test)]
 mod tests {
@@ -2182,30 +2085,16 @@ mod tests {
     fn shard_count_is_clamped_to_localities() {
         let e = engine_sharded(64);
         assert_eq!(e.num_shards(), 3, "small_test has 3 localities");
-        assert!(e.lookahead() >= SimDuration::from_ms(1));
+        assert!(e.topology().cross_locality_lookahead() >= SimDuration::from_ms(1));
     }
 
-    fn engine_with_lookahead(
-        shards: usize,
-        kind: crate::topology::LookaheadKind,
-    ) -> Engine<PingMsg, Echo> {
-        let cfg = TopologyConfig {
-            lookahead: kind,
-            ..TopologyConfig::small_test()
-        };
-        let topo = crate::topology::Topology::generate(&cfg, 5);
-        let nodes = (0..topo.num_nodes()).map(|_| Echo::default()).collect();
-        Engine::with_shards(topo, nodes, 99, SimDuration::from_mins(30), shards)
-    }
-
-    /// The tentpole guarantee of the lookahead matrix: the adaptive
-    /// schedule is an execution detail — bit-identical observable
-    /// behaviour, strictly fewer barrier rounds.
+    /// The lookahead matrix's epoch schedule is an execution detail:
+    /// sharded runs count barrier rounds yet behave bit-identically to
+    /// the barrier-free single-shard run.
     #[test]
     fn lookahead_matrix_matches_global_floor_with_fewer_epochs() {
-        use crate::topology::LookaheadKind;
-        let drive = |shards: usize, kind: LookaheadKind| {
-            let mut e = engine_with_lookahead(shards, kind);
+        let drive = |shards: usize| {
+            let mut e = engine_sharded(shards);
             for i in 0..60u32 {
                 e.schedule_at(
                     SimTime::from_ms(i as u64 * 211),
@@ -2223,20 +2112,14 @@ mod tests {
             let fingerprint = (e.events_processed(), e.traffic().messages(), pongs);
             (fingerprint, e.epochs())
         };
-        for shards in [2usize, 3] {
-            let (global_fp, global_epochs) = drive(shards, LookaheadKind::GlobalFloor);
-            let (matrix_fp, matrix_epochs) = drive(shards, LookaheadKind::Matrix);
-            assert_eq!(matrix_fp, global_fp, "shards={shards}: results diverged");
-            assert!(global_epochs > 0, "sharded runs must count epochs");
-            assert!(
-                matrix_epochs <= global_epochs,
-                "shards={shards}: matrix must not synchronize more often \
-                 ({matrix_epochs} vs {global_epochs})"
-            );
-        }
         // Single-shard runs have no barrier and count no epochs.
-        let (_, epochs) = drive(1, LookaheadKind::Matrix);
+        let (reference, epochs) = drive(1);
         assert_eq!(epochs, 0);
+        for shards in [2usize, 3] {
+            let (fp, epochs) = drive(shards);
+            assert_eq!(fp, reference, "shards={shards}: results diverged");
+            assert!(epochs > 0, "sharded runs must count epochs");
+        }
     }
 
     /// The causality trap a naive peers-only bound falls into: an
@@ -2248,18 +2131,18 @@ mod tests {
     /// reflection) enforces exactly this.
     #[test]
     fn matrix_mode_waits_for_replies_drawn_from_idle_shards() {
-        use crate::topology::LookaheadKind;
-        let drive = |kind: LookaheadKind| {
-            let mut e = engine_with_lookahead(2, kind);
-            // A node in shard 0 and a node in shard 1.
-            let shard_of = |e: &Engine<PingMsg, Echo>, s: usize| {
-                e.topology()
-                    .node_ids()
-                    .find(|n| e.place.shard(*n) == s)
-                    .expect("both shards populated")
-            };
-            let a = shard_of(&e, 0);
-            let c = shard_of(&e, 1);
+        // A node in shard 0 and a node in shard 1 of the 2-shard layout.
+        let probe = engine_sharded(2);
+        let shard_of = |s: usize| {
+            probe
+                .topology()
+                .node_ids()
+                .find(|n| probe.place.shard(*n) == s)
+                .expect("both shards populated")
+        };
+        let (a, c) = (shard_of(0), shard_of(1));
+        let drive = |shards: usize| {
+            let mut e = engine_sharded(shards);
             // Shard 1 starts with an *empty* queue. At t=1 a pure
             // shard-0 event (timer kind 2) makes `a` ping `c`; the
             // pong comes back one round trip later — while `a` also
@@ -2276,9 +2159,9 @@ mod tests {
             e.run_until(SimTime::from_secs(60));
             (e.node(a).pongs, e.node(a).timer_fired, e.events_processed())
         };
-        let global = drive(LookaheadKind::GlobalFloor);
-        let matrix = drive(LookaheadKind::Matrix);
-        assert_eq!(matrix, global, "reply chain processed out of order");
+        let reference = drive(1);
+        let matrix = drive(2);
+        assert_eq!(matrix, reference, "reply chain processed out of order");
         assert_eq!(matrix.0, 1, "the pong must reach the pinger");
     }
 
@@ -2406,8 +2289,7 @@ mod tests {
     #[test]
     fn pair_lookahead_is_at_least_the_global_floor() {
         let e = engine_sharded(3);
-        assert_eq!(e.lookahead_kind(), crate::topology::LookaheadKind::Matrix);
-        let floor = e.lookahead().as_ms();
+        let floor = e.topology().cross_locality_lookahead().as_ms();
         for i in 0..e.num_shards() {
             for j in 0..e.num_shards() {
                 if i == j {

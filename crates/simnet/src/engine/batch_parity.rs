@@ -1,18 +1,18 @@
-//! Delivery-mode parity: the batched per-(node, epoch) dispatch path
-//! (`DeliveryMode::Batched`, the default) must be bit-identical to the
-//! one-event-at-a-time reference path (`DeliveryMode::Single`) — for
-//! every shard count, under churn, and at scale. Batching is a
-//! wall-clock optimisation only; any observable divergence is a bug
-//! in the batch-break conditions (destination change, churn event,
-//! epoch bound).
+//! Delivery parity: the batched per-(node, epoch) dispatch path must
+//! be bit-identical to the one-event-at-a-time oracle
+//! ([`Engine::set_one_at_a_time`]) — for every shard count, under
+//! churn, and at scale. Batching is a wall-clock optimisation only;
+//! any observable divergence is a bug in the batch-break conditions
+//! (destination change, churn event, epoch bound).
 
 use proptest::prelude::*;
 use rand::Rng;
-use simnet::stats::ServedBy;
-use simnet::{
-    ChurnConfig, ChurnScript, Ctx, DeliveryMode, Engine, Event, Message, Node, NodeId, SimDuration,
-    SimTime, Topology, TopologyConfig, TrafficClass,
-};
+
+use super::{Ctx, Engine, Event, Message, Node};
+use crate::churn::{ChurnConfig, ChurnScript};
+use crate::stats::{ServedBy, TrafficClass};
+use crate::time::{SimDuration, SimTime};
+use crate::topology::{NodeId, Topology, TopologyConfig};
 
 #[derive(Clone, Debug)]
 enum Msg {
@@ -126,8 +126,9 @@ where
     )
 }
 
-/// A full run with churn at the given shard count and delivery mode.
-fn run(shards: usize, seed: u64, mode: DeliveryMode, injections: &[(u64, u32, u8)]) -> Fingerprint {
+/// A full run with churn at the given shard count, batched or through
+/// the one-event oracle.
+fn run(shards: usize, seed: u64, single: bool, injections: &[(u64, u32, u8)]) -> Fingerprint {
     let topo = Topology::generate(
         &TopologyConfig {
             nodes: 120,
@@ -140,7 +141,9 @@ fn run(shards: usize, seed: u64, mode: DeliveryMode, injections: &[(u64, u32, u8
     let n = topo.num_nodes();
     let nodes = (0..n).map(|_| Chatter::default()).collect();
     let mut e = Engine::with_shards(topo, nodes, seed, SimDuration::from_secs(10), shards);
-    e.set_delivery_mode(mode);
+    if single {
+        e.set_one_at_a_time();
+    }
     for (at, origin, hops) in injections {
         e.schedule_at(
             SimTime::from_ms(*at),
@@ -180,17 +183,17 @@ proptest! {
         injections in proptest::collection::vec((0u64..30_000, any::<u32>(), any::<u8>()), 1..24),
         seed in any::<u64>(),
     ) {
-        let reference = run(1, seed, DeliveryMode::Single, &injections);
+        let reference = run(1, seed, true, &injections);
         for shards in [1usize, 2, 3] {
             prop_assert_eq!(
-                run(shards, seed, DeliveryMode::Batched, &injections),
+                run(shards, seed, false, &injections),
                 reference.clone(),
                 "shards={} batched diverged from the single-dispatch reference",
                 shards
             );
             if shards > 1 {
                 prop_assert_eq!(
-                    run(shards, seed, DeliveryMode::Single, &injections),
+                    run(shards, seed, true, &injections),
                     reference.clone(),
                     "shards={} single diverged across shard counts",
                     shards
@@ -207,7 +210,7 @@ proptest! {
 #[test]
 #[ignore = "runs multi-thousand-node simulations; use --release -- --ignored"]
 fn seed_42_stat_pin_at_50k_nodes() {
-    let run_50k = |mode: DeliveryMode, shards: usize| -> Fingerprint {
+    let run_50k = |single: bool, shards: usize| -> Fingerprint {
         let topo = Topology::generate(
             &TopologyConfig {
                 nodes: 50_000,
@@ -220,7 +223,9 @@ fn seed_42_stat_pin_at_50k_nodes() {
         let n = topo.num_nodes();
         let nodes = (0..n).map(|_| Chatter::default()).collect();
         let mut e = Engine::with_shards(topo, nodes, 42, SimDuration::from_secs(10), shards);
-        e.set_delivery_mode(mode);
+        if single {
+            e.set_one_at_a_time();
+        }
         for i in 0..4000u32 {
             e.schedule_at(
                 SimTime::from_ms(i as u64 * 7),
@@ -236,16 +241,12 @@ fn seed_42_stat_pin_at_50k_nodes() {
         e.run_until(SimTime::from_secs(60));
         fingerprint(&e, |c| c.digest.wrapping_add(c.replies as u64))
     };
-    let batched = run_50k(DeliveryMode::Batched, 2);
-    for (mode, shards) in [
-        (DeliveryMode::Single, 2),
-        (DeliveryMode::Batched, 1),
-        (DeliveryMode::Batched, 4),
-    ] {
+    let batched = run_50k(false, 2);
+    for (single, shards) in [(true, 2), (false, 1), (false, 4)] {
         assert_eq!(
-            run_50k(mode, shards),
+            run_50k(single, shards),
             batched,
-            "{mode:?}/{shards} shards diverged at 50k nodes"
+            "single={single}/{shards} shards diverged at 50k nodes"
         );
     }
     // The pinned seed-42 statistics. If an intentional engine change

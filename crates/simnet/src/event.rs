@@ -12,27 +12,22 @@
 //! relies on for bit-identical parallel execution (see
 //! [`crate::engine`]).
 //!
-//! ## Storage backends
+//! ## Storage: a calendar queue
 //!
-//! [`EventQueue`] pops strictly in key order under either of two
-//! interchangeable backends ([`EventQueueKind`]):
-//!
-//! * **`Heap`** — a `BinaryHeap` over inverted keys: `O(log n)` per
-//!   operation, the reference implementation.
-//! * **`Calendar`** (the default) — a self-resizing calendar queue
-//!   (R. Brown, "Calendar Queues: A Fast O(1) Priority Queue
-//!   Implementation for the Simulation Event Set Problem", CACM 1988).
-//!   Pending events are bucketed into *days* of a fixed millisecond
-//!   width. The day currently being drained is kept sorted by full
-//!   `EventKey` (so same-instant ties break exactly like the heap:
-//!   stream id, then per-stream sequence); future days are unsorted
-//!   append-only buckets, sorted once when the clock reaches them; and
-//!   events beyond the bucket ring's horizon wait in a small overflow
-//!   heap that is drip-fed back into the ring as days advance. At
-//!   steady state enqueue and dequeue are `O(1)` — one bucket append,
-//!   one pop off the sorted current day — instead of an `O(log n)`
-//!   sift through one large heap whose entries (full protocol
-//!   messages) are expensive to move.
+//! [`EventQueue`] is a self-resizing calendar queue (R. Brown,
+//! "Calendar Queues: A Fast O(1) Priority Queue Implementation for the
+//! Simulation Event Set Problem", CACM 1988). Pending events are
+//! bucketed into *days* of a fixed millisecond width. The day currently
+//! being drained is kept sorted by full `EventKey` (so same-instant
+//! ties break by stream id, then per-stream sequence); future days are
+//! unsorted append-only buckets, sorted once when the clock reaches
+//! them; and events beyond the bucket ring's horizon wait in a small
+//! overflow heap that is drip-fed back into the ring as days advance.
+//! At steady state enqueue and dequeue are `O(1)` — one bucket append,
+//! one pop off the sorted current day — instead of an `O(log n)` sift
+//! through one large heap whose entries (full protocol messages) are
+//! expensive to move. The unit tests hold the pop order to a
+//! `BinaryHeap` model.
 //!
 //! ### Bucket width and resize policy
 //!
@@ -45,8 +40,8 @@
 //! thumb: a handful of events per day), clamped to at least 1 ms, and
 //! the ring size to the population rounded up to a power of two
 //! (within `[16, 65536]`). All of this is a pure function of the
-//! push/pop sequence — no wall clock, no RNG — so the backend choice
-//! can never affect simulation results, only wall-clock speed.
+//! push/pop sequence — no wall clock, no RNG — so the geometry can
+//! never affect simulation results, only wall-clock speed.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -73,39 +68,13 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Which storage backend an [`EventQueue`] runs on. Pop order — and
-/// therefore every simulation result — is identical for both; only
-/// the wall-clock cost profile differs.
+/// Placeholder for the retired choice of event-queue backend: the
+/// calendar queue is the only storage, so this carries no choice. It
+/// survives only because the benchmark harness names
+/// [`TopologyConfig::event_queue`](crate::topology::TopologyConfig::event_queue)
+/// in a struct literal, and goes when the benchmark next changes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum EventQueueKind {
-    /// Self-resizing calendar queue: `O(1)` amortized hold operations
-    /// at steady state (Brown, CACM 1988). The default.
-    #[default]
-    Calendar,
-    /// Binary heap over inverted keys: `O(log n)`, the reference
-    /// implementation the calendar backend is verified against.
-    Heap,
-}
-
-impl EventQueueKind {
-    /// Parse `"calendar"` or `"heap"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "calendar" => Ok(EventQueueKind::Calendar),
-            "heap" => Ok(EventQueueKind::Heap),
-            other => Err(format!("unknown event queue {other:?} (calendar|heap)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EventQueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EventQueueKind::Calendar => "calendar",
-            EventQueueKind::Heap => "heap",
-        })
-    }
-}
+pub struct EventQueueKind;
 
 /// Heap entry: an opaque payload `T` under an *inverted* ordering so
 /// `BinaryHeap`'s max-heap pops the smallest key first. Internal —
@@ -140,14 +109,15 @@ impl<T> Ord for Scheduled<T> {
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// The calendar backend. Invariant: whenever the queue is non-empty,
-/// `current` is non-empty and holds (sorted descending by key, so the
-/// global minimum is `current.last()`) exactly the pending events with
+/// A deterministic future-event list: the calendar queue of the module
+/// docs. Invariant: whenever the queue is non-empty, `current` is
+/// non-empty and holds (sorted descending by key, so the global minimum
+/// is `current.last()`) exactly the pending events with
 /// `at < day_end`; ring bucket `i` holds the unsorted events of day
 /// `[day_end + i·width, day_end + (i+1)·width)`; `far` min-heaps
 /// everything at or beyond the ring horizon.
 #[derive(Debug)]
-struct Calendar<T> {
+pub struct EventQueue<T> {
     /// The day being drained, sorted descending by key (pop = `pop()`
     /// off the tail).
     current: Vec<(EventKey, T)>,
@@ -162,11 +132,20 @@ struct Calendar<T> {
     /// Overflow events at or beyond `day_end + ring.len()·width`.
     far: BinaryHeap<Scheduled<T>>,
     len: usize,
+    /// High-water mark of `len`.
+    peak: usize,
 }
 
-impl<T> Calendar<T> {
-    fn new() -> Self {
-        Calendar {
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             current: Vec::new(),
             day_end: 0,
             width: 1,
@@ -174,11 +153,16 @@ impl<T> Calendar<T> {
             in_ring: 0,
             far: BinaryHeap::new(),
             len: 0,
+            peak: 0,
         }
     }
 
-    fn push(&mut self, key: EventKey, payload: T) {
+    /// Schedule `payload` for delivery under `key`. The caller is
+    /// responsible for key uniqueness (the engine derives keys from
+    /// per-stream counters, which guarantees it).
+    pub fn push(&mut self, key: EventKey, payload: T) {
         self.len += 1;
+        self.peak = self.peak.max(self.len);
         if self.len == 1 {
             // Queue was empty: re-anchor the current day at the event.
             self.day_end = key.at.as_ms().saturating_add(self.width);
@@ -189,8 +173,8 @@ impl<T> Calendar<T> {
         if at < self.day_end {
             // Into the (sorted) current day; unique keys make the
             // binary-search position deterministic. A duplicate key
-            // (a caller contract violation the heap backend would also
-            // accept silently) slots in adjacent to its twin.
+            // (a caller contract violation) slots in adjacent to its
+            // twin.
             let pos = match self.current.binary_search_by(|(k, _)| key.cmp(k)) {
                 Ok(pos) | Err(pos) => pos,
             };
@@ -209,7 +193,8 @@ impl<T> Calendar<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<(EventKey, T)> {
+    /// Remove and return the event with the smallest key, if any.
+    pub fn pop(&mut self) -> Option<(EventKey, T)> {
         let (key, payload) = self.current.pop()?;
         self.len -= 1;
         if self.current.is_empty() && self.len > 0 {
@@ -220,8 +205,46 @@ impl<T> Calendar<T> {
         Some((key, payload))
     }
 
-    fn peek(&self) -> Option<&(EventKey, T)> {
-        self.current.last()
+    /// As [`EventQueue::pop`], but only if the earliest event is due
+    /// strictly before `limit` — the engine's epoch inner loop, as one
+    /// queue operation instead of a peek-then-pop pair.
+    pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, T)> {
+        if self.peek_time()? >= limit {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// The earliest pending event: its delivery time and a view of its
+    /// payload.
+    pub fn peek(&self) -> Option<(SimTime, &T)> {
+        self.current.last().map(|(k, p)| (k.at, p))
+    }
+
+    /// The delivery time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.peek_key().map(|k| k.at)
+    }
+
+    /// The full key of the earliest pending event.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.current.last().map(|(k, _)| *k)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// High-water mark of the queue length over the queue's lifetime
+    /// (the "peak queue depth" benchmark metric).
+    pub fn peak_len(&self) -> usize {
+        self.peak
     }
 
     /// Walk forward day by day until the current day is non-empty.
@@ -322,123 +345,6 @@ impl<T> Calendar<T> {
     }
 }
 
-#[derive(Debug)]
-enum Backend<T> {
-    Heap(BinaryHeap<Scheduled<T>>),
-    Calendar(Calendar<T>),
-}
-
-/// A deterministic future-event list (see the module docs for the
-/// ordering contract and the two storage backends).
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    backend: Backend<T>,
-    peak: usize,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue on the default backend
-    /// ([`EventQueueKind::Calendar`]).
-    pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::default())
-    }
-
-    /// An empty queue on an explicit backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        EventQueue {
-            backend: match kind {
-                EventQueueKind::Heap => Backend::Heap(BinaryHeap::new()),
-                EventQueueKind::Calendar => Backend::Calendar(Calendar::new()),
-            },
-            peak: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> EventQueueKind {
-        match &self.backend {
-            Backend::Heap(_) => EventQueueKind::Heap,
-            Backend::Calendar(_) => EventQueueKind::Calendar,
-        }
-    }
-
-    /// Schedule `payload` for delivery under `key`. The caller is
-    /// responsible for key uniqueness (the engine derives keys from
-    /// per-stream counters, which guarantees it).
-    pub fn push(&mut self, key: EventKey, payload: T) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { key, payload }),
-            Backend::Calendar(c) => c.push(key, payload),
-        }
-        self.peak = self.peak.max(self.len());
-    }
-
-    /// Remove and return the event with the smallest key, if any.
-    pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.key, s.payload)),
-            Backend::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// As [`EventQueue::pop`], but only if the earliest event is due
-    /// strictly before `limit` — the engine's epoch inner loop, as one
-    /// queue operation instead of a peek-then-pop pair.
-    pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(EventKey, T)> {
-        if self.peek_time()? >= limit {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The earliest pending event: its delivery time and a view of its
-    /// payload.
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| (s.key.at, &s.payload)),
-            Backend::Calendar(c) => c.peek().map(|(k, p)| (k.at, p)),
-        }
-    }
-
-    /// The delivery time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|k| k.at)
-    }
-
-    /// The full key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| s.key),
-            Backend::Calendar(c) => c.peek().map(|(k, _)| *k),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// High-water mark of the queue length over the queue's lifetime
-    /// (the "peak queue depth" benchmark metric).
-    pub fn peak_len(&self) -> usize {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,157 +357,123 @@ mod tests {
         }
     }
 
-    const BOTH: [EventQueueKind; 2] = [EventQueueKind::Calendar, EventQueueKind::Heap];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.kind(), kind);
-            q.push(key(30, 0, 0), "c");
-            q.push(key(10, 0, 1), "a");
-            q.push(key(20, 0, 2), "b");
-            assert_eq!(q.pop().unwrap().1, "a");
-            assert_eq!(q.pop().unwrap().1, "b");
-            assert_eq!(q.pop().unwrap().1, "c");
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        q.push(key(30, 0, 0), "c");
+        q.push(key(10, 0, 1), "a");
+        q.push(key(20, 0, 2), "b");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn same_instant_same_stream_is_fifo() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100u64 {
-                q.push(key(5, 3, i), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.push(key(5, 3, i), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn same_instant_orders_by_stream() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(5, 7, 0), "node6");
-            q.push(key(5, 0, 9), "external");
-            q.push(key(5, 2, 0), "node1");
-            assert_eq!(q.pop().unwrap().1, "external");
-            assert_eq!(q.pop().unwrap().1, "node1");
-            assert_eq!(q.pop().unwrap().1, "node6");
-        }
+        let mut q = EventQueue::new();
+        q.push(key(5, 7, 0), "node6");
+        q.push(key(5, 0, 9), "external");
+        q.push(key(5, 2, 0), "node1");
+        assert_eq!(q.pop().unwrap().1, "external");
+        assert_eq!(q.pop().unwrap().1, "node1");
+        assert_eq!(q.pop().unwrap().1, "node6");
     }
 
     #[test]
     fn interleaved_push_pop() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(10, 0, 0), 1);
-            q.push(key(5, 0, 1), 0);
-            assert_eq!(q.pop().unwrap().1, 0);
-            q.push(key(7, 0, 2), 2);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-        }
+        let mut q = EventQueue::new();
+        q.push(key(10, 0, 0), 1);
+        q.push(key(5, 0, 1), 0);
+        assert_eq!(q.pop().unwrap().1, 0);
+        q.push(key(7, 0, 2), 2);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 1);
     }
 
     #[test]
     fn peek_len_and_peak() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            assert_eq!(q.peek_key(), None);
-            assert_eq!(q.peek(), None::<(SimTime, &())>);
-            q.push(key(42, 0, 0), ());
-            q.push(key(41, 0, 1), ());
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peak_len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
-            assert_eq!(q.peek(), Some((SimTime::from_ms(41), &())));
-            q.pop();
-            q.pop();
-            assert_eq!(q.peak_len(), 2, "peak survives drains");
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
+        assert_eq!(q.peek(), None::<(SimTime, &())>);
+        q.push(key(42, 0, 0), ());
+        q.push(key(41, 0, 1), ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peak_len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ms(41)));
+        assert_eq!(q.peek(), Some((SimTime::from_ms(41), &())));
+        q.pop();
+        q.pop();
+        assert_eq!(q.peak_len(), 2, "peak survives drains");
     }
 
     #[test]
     fn pop_if_before_respects_the_limit() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(10, 0, 0), "x");
-            assert!(q.pop_if_before(SimTime::from_ms(10)).is_none());
-            assert!(q.pop_if_before(SimTime::from_ms(5)).is_none());
-            assert_eq!(q.len(), 1, "a refused pop must not drop the event");
-            let (k, p) = q.pop_if_before(SimTime::from_ms(11)).unwrap();
-            assert_eq!((k.at, p), (SimTime::from_ms(10), "x"));
-            assert!(q.pop_if_before(SimTime::from_ms(u64::MAX)).is_none());
-        }
+        let mut q = EventQueue::new();
+        q.push(key(10, 0, 0), "x");
+        assert!(q.pop_if_before(SimTime::from_ms(10)).is_none());
+        assert!(q.pop_if_before(SimTime::from_ms(5)).is_none());
+        assert_eq!(q.len(), 1, "a refused pop must not drop the event");
+        let (k, p) = q.pop_if_before(SimTime::from_ms(11)).unwrap();
+        assert_eq!((k.at, p), (SimTime::from_ms(10), "x"));
+        assert!(q.pop_if_before(SimTime::from_ms(u64::MAX)).is_none());
     }
 
     #[test]
     fn zero_time_events() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(key(0, 0, 0), "x");
-            assert_eq!(q.pop().unwrap().0.at, SimTime::ZERO);
-        }
+        let mut q = EventQueue::new();
+        q.push(key(0, 0, 0), "x");
+        assert_eq!(q.pop().unwrap().0.at, SimTime::ZERO);
     }
 
     #[test]
     fn far_future_events_cross_the_ring_horizon() {
         // Events hours apart at ms resolution exercise the overflow
         // heap and the next-year rebuild.
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            let hour = 3_600_000u64;
-            q.push(key(3 * hour, 0, 0), 3u64);
-            q.push(key(1, 0, 1), 0);
-            q.push(key(hour, 0, 2), 1);
-            q.push(key(2 * hour + 5, 0, 3), 2);
-            for want in 0..4u64 {
-                assert_eq!(q.pop().unwrap().1, want, "kind={kind}");
-            }
-            assert!(q.is_empty());
+        let mut q = EventQueue::new();
+        let hour = 3_600_000u64;
+        q.push(key(3 * hour, 0, 0), 3u64);
+        q.push(key(1, 0, 1), 0);
+        q.push(key(hour, 0, 2), 1);
+        q.push(key(2 * hour + 5, 0, 3), 2);
+        for want in 0..4u64 {
+            assert_eq!(q.pop().unwrap().1, want);
         }
+        assert!(q.is_empty());
     }
 
     #[test]
     fn grows_and_shrinks_through_rebuilds() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            // Push enough to force several grow rebuilds…
-            for i in 0..10_000u64 {
-                q.push(key((i * 37) % 4096, 1, i), i);
-            }
-            assert_eq!(q.len(), 10_000);
-            // …then drain fully (shrink rebuilds), checking order.
-            let mut last = None;
-            let mut n = 0;
-            while let Some((k, _)) = q.pop() {
-                if let Some(prev) = last {
-                    assert!(k > prev);
-                }
-                last = Some(k);
-                n += 1;
-            }
-            assert_eq!(n, 10_000);
+        let mut q = EventQueue::new();
+        // Push enough to force several grow rebuilds…
+        for i in 0..10_000u64 {
+            q.push(key((i * 37) % 4096, 1, i), i);
         }
-    }
-
-    #[test]
-    fn queue_kind_parses_and_displays() {
-        assert_eq!(
-            EventQueueKind::parse("calendar").unwrap(),
-            EventQueueKind::Calendar
-        );
-        assert_eq!(EventQueueKind::parse("heap").unwrap(), EventQueueKind::Heap);
-        assert!(EventQueueKind::parse("wheel").is_err());
-        assert_eq!(EventQueueKind::Calendar.to_string(), "calendar");
-        assert_eq!(EventQueueKind::Heap.to_string(), "heap");
-        assert_eq!(EventQueueKind::default(), EventQueueKind::Calendar);
+        assert_eq!(q.len(), 10_000);
+        // …then drain fully (shrink rebuilds), checking order.
+        let mut last = None;
+        let mut n = 0;
+        while let Some((k, _)) = q.pop() {
+            if let Some(prev) = last {
+                assert!(k > prev);
+            }
+            last = Some(k);
+            n += 1;
+        }
+        assert_eq!(n, 10_000);
     }
 }
 
@@ -618,41 +490,54 @@ mod proptests {
         }
     }
 
+    /// The reference model: a plain binary heap over the same inverted
+    /// key order the overflow heap uses.
+    #[derive(Default)]
+    struct HeapModel(BinaryHeap<Scheduled<usize>>);
+
+    impl HeapModel {
+        fn push(&mut self, key: EventKey, payload: usize) {
+            self.0.push(Scheduled { key, payload });
+        }
+
+        fn pop(&mut self) -> Option<(EventKey, usize)> {
+            self.0.pop().map(|s| (s.key, s.payload))
+        }
+    }
+
     proptest! {
         /// The queue is a stable priority queue over full keys:
         /// popping yields non-decreasing keys, and within one source
         /// stream the per-stream sequence numbers come out in order.
         #[test]
         fn pop_order_is_sorted_by_key(entries in proptest::collection::vec((0u64..1000, 0u64..4), 0..200)) {
-            for kind in [EventQueueKind::Calendar, EventQueueKind::Heap] {
-                let mut q = EventQueue::with_kind(kind);
-                let mut seqs = [0u64; 4];
-                for (i, &(t, src)) in entries.iter().enumerate() {
-                    let seq = seqs[src as usize];
-                    seqs[src as usize] += 1;
-                    q.push(key(t, src, seq), i);
-                }
-                let mut last: Option<EventKey> = None;
-                let mut popped = 0usize;
-                while let Some((k, _)) = q.pop() {
-                    popped += 1;
-                    if let Some(lk) = last {
-                        prop_assert!(k > lk, "keys must strictly increase");
-                    }
-                    last = Some(k);
-                }
-                prop_assert_eq!(popped, entries.len());
+            let mut q = EventQueue::new();
+            let mut seqs = [0u64; 4];
+            for (i, &(t, src)) in entries.iter().enumerate() {
+                let seq = seqs[src as usize];
+                seqs[src as usize] += 1;
+                q.push(key(t, src, seq), i);
             }
+            let mut last: Option<EventKey> = None;
+            let mut popped = 0usize;
+            while let Some((k, _)) = q.pop() {
+                popped += 1;
+                if let Some(lk) = last {
+                    prop_assert!(k > lk, "keys must strictly increase");
+                }
+                last = Some(k);
+            }
+            prop_assert_eq!(popped, entries.len());
         }
 
-        /// Backend parity: for an arbitrary insert sequence — narrow
+        /// Model parity: for an arbitrary insert sequence — narrow
         /// time range, so same-timestamp bursts are common — the
-        /// calendar queue pops the exact payload sequence the binary
+        /// calendar queue pops the exact payload sequence a binary
         /// heap does.
         #[test]
         fn calendar_matches_heap_pop_order(entries in proptest::collection::vec((0u64..64, 0u64..6), 0..300)) {
-            let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
+            let mut cal = EventQueue::new();
+            let mut heap = HeapModel::default();
             let mut seqs = [0u64; 6];
             for (i, &(t, src)) in entries.iter().enumerate() {
                 let seq = seqs[src as usize];
@@ -662,20 +547,20 @@ mod proptests {
             }
             loop {
                 let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b, "backends diverged");
+                prop_assert_eq!(a, b, "calendar diverged from the heap model");
                 if a.is_none() {
                     break;
                 }
             }
         }
 
-        /// Backend parity under interleaved pops: drain a pseudorandom
+        /// Model parity under interleaved pops: drain a pseudorandom
         /// prefix between insert batches (the engine's actual usage:
         /// epochs of pops between bursts of pushes).
         #[test]
         fn calendar_matches_heap_interleaved(batches in proptest::collection::vec((proptest::collection::vec((0u64..48, 0u64..3), 0..40), 0usize..30), 1..8)) {
-            let mut cal = EventQueue::with_kind(EventQueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
+            let mut cal = EventQueue::new();
+            let mut heap = HeapModel::default();
             let mut seqs = [0u64; 3];
             let mut clock = 0u64; // keys must never be scheduled "past"
             let mut i = 0usize;
@@ -689,7 +574,7 @@ mod proptests {
                 }
                 for _ in 0..*pops {
                     let (a, b) = (cal.pop(), heap.pop());
-                    prop_assert_eq!(&a, &b, "backends diverged mid-drain");
+                    prop_assert_eq!(&a, &b, "calendar diverged from the heap model mid-drain");
                     if let Some((k, _)) = a {
                         clock = k.at.as_ms();
                     }

@@ -31,8 +31,7 @@
 //!
 //! The determinism contract, in one line: **every fault decision is a
 //! pure function of the script, the topology and the emitter's
-//! private RNG stream** — never of shard count, queue backend or
-//! thread schedule.
+//! private RNG stream** — never of shard count or thread schedule.
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Locality;

@@ -34,16 +34,13 @@
 //! does not depend on how the simulation is partitioned or scheduled
 //! onto threads.
 //!
-//! The *storage* behind that order is a pluggable backend
-//! ([`event::EventQueueKind`], selected via
-//! [`TopologyConfig::event_queue`]): a self-resizing **calendar
+//! The *storage* behind that order is a self-resizing **calendar
 //! queue** (Brown, CACM 1988 — `O(1)` hold operations at steady
-//! state; the default) or the reference `BinaryHeap`. Same-instant
-//! ties break by the full `EventKey` under both backends — bucket
+//! state). Same-instant ties break by the full `EventKey` — bucket
 //! width, resize thresholds and every other calendar internal are
-//! pure functions of the push/pop sequence — so the backend can only
-//! change wall-clock speed, never results (pinned by the backend
-//! parity proptests in [`event`] and the seed-42 stat pins in
+//! pure functions of the push/pop sequence — so the queue geometry can
+//! only change wall-clock speed, never results (pinned by the
+//! heap-model proptests in [`event`] and the seed-42 stat pins in
 //! `tests/shard_parity.rs`).
 //!
 //! Randomness follows the same discipline: there is no engine-global
@@ -57,11 +54,12 @@
 //! into `K` shards ([`Topology::shard_map`]), each with its own event
 //! queue, clock, RNG streams and statistics, running on its own
 //! thread. Shards synchronize through a *conservative epoch barrier*:
-//! the epoch length is the topology's **lookahead**
-//! ([`Topology::cross_locality_lookahead`]), a guaranteed lower bound
-//! on every cross-locality link latency, so a cross-shard message
-//! emitted during an epoch is always due in a later epoch and can be
-//! handed over at the barrier in between. Within an epoch shards share
+//! each shard's epoch ends no later than the earliest instant another
+//! shard could reach it, under the per-shard-pair **lookahead** matrix
+//! ([`Topology::shard_lookahead_ms`] — every entry at least the
+//! cross-locality floor [`Topology::cross_locality_lookahead`]), so a
+//! cross-shard message emitted during an epoch is always due in a
+//! later epoch and can be handed over at the barrier in between. Within an epoch shards share
 //! no mutable state (liveness flags are replicated and driven by
 //! broadcast churn events), so the parallel run is equivalent to the
 //! sequential execution in global key order. Together with the
@@ -120,9 +118,7 @@ pub mod topology;
 
 pub use affinity::{available_cores, pin_current_thread, place_shards, PinError};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnKind, ChurnScript};
-pub use engine::{
-    node_stream_seed, Action, Ctx, DeliveryMode, Engine, Event, Message, Node, QuerySink,
-};
+pub use engine::{node_stream_seed, Action, Ctx, Engine, Event, Message, Node, QuerySink};
 pub use event::{EventKey, EventQueueKind};
 pub use fault::{FaultPlane, LinkLoss, Partition, RegionalFailure};
 pub use stats::{
@@ -136,9 +132,8 @@ pub use topology::{Locality, LookaheadKind, NodeId, Topology, TopologyConfig};
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnScript};
     pub use crate::engine::{Ctx, Engine, Event, Message, Node};
-    pub use crate::event::EventQueueKind;
     pub use crate::fault::{FaultPlane, LinkLoss, Partition, RegionalFailure};
     pub use crate::stats::{Histogram, QueryStats, TimeSeries, Traffic, TrafficClass};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::{Locality, LookaheadKind, NodeId, Topology, TopologyConfig};
+    pub use crate::topology::{Locality, NodeId, Topology, TopologyConfig};
 }

@@ -69,45 +69,14 @@ impl std::fmt::Display for Locality {
     }
 }
 
-/// How the sharded engine derives its epoch synchronization bounds
-/// from the topology. An execution knob like
-/// [`crate::event::EventQueueKind`]: results are bit-identical for
-/// both — only the number of barrier rounds (and therefore wall
-/// clock) changes.
+/// Placeholder for the retired choice of epoch-bound schedule: the
+/// sharded engine always bounds epochs with the per-shard-pair
+/// lookahead matrix ([`Topology::shard_lookahead_ms`]), so this carries
+/// no choice. It survives only because the benchmark harness names
+/// [`TopologyConfig::lookahead`] in a struct literal, and goes when the
+/// benchmark next changes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LookaheadKind {
-    /// Per-shard-pair lookaheads: each pair's bound is the exact
-    /// minimum latency between the two shards' locality point sets,
-    /// and a shard's epoch runs to the earliest instant any *other*
-    /// shard could still reach it — distant shard pairs synchronize
-    /// less often.
-    #[default]
-    Matrix,
-    /// The pre-matrix behaviour: one global epoch of
-    /// [`Topology::cross_locality_lookahead`] length for every shard
-    /// (kept for comparison runs and the parity tests).
-    GlobalFloor,
-}
-
-impl LookaheadKind {
-    /// Parse `"matrix"` or `"global"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "matrix" => Ok(LookaheadKind::Matrix),
-            "global" => Ok(LookaheadKind::GlobalFloor),
-            other => Err(format!("unknown lookahead kind {other:?} (matrix|global)")),
-        }
-    }
-}
-
-impl std::fmt::Display for LookaheadKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LookaheadKind::Matrix => "matrix",
-            LookaheadKind::GlobalFloor => "global",
-        })
-    }
-}
+pub struct LookaheadKind;
 
 /// A grid cell index used by the locality-distance computation.
 type Cell = (usize, usize);
@@ -160,17 +129,9 @@ pub struct TopologyConfig {
     /// less synchronization between shards. See
     /// [`Topology::cross_locality_lookahead`].
     pub inter_locality_floor_ms: u64,
-    /// Storage backend of the engine's per-shard event queues. An
-    /// execution knob, not a network-model parameter — it rides on the
-    /// topology config because that is the one configuration object
-    /// every engine construction path already receives. Results are
-    /// bit-identical for both backends; see
-    /// [`crate::event::EventQueueKind`].
+    /// Carries no choice; see [`crate::event::EventQueueKind`].
     pub event_queue: crate::event::EventQueueKind,
-    /// How the sharded engine bounds its epochs: the per-shard-pair
-    /// lookahead matrix (default) or the single global floor. Another
-    /// execution knob riding here for the same reason as
-    /// `event_queue`; results are bit-identical for both.
+    /// Carries no choice; see [`LookaheadKind`].
     pub lookahead: LookaheadKind,
     /// Whether the sharded engine pins its worker threads to cores
     /// under the latency-aware placement ([`crate::affinity`]). A
@@ -192,8 +153,8 @@ impl Default for TopologyConfig {
             background_fraction: 0.05,
             population_skew: 1.0,
             inter_locality_floor_ms: 0,
-            event_queue: crate::event::EventQueueKind::default(),
-            lookahead: LookaheadKind::default(),
+            event_queue: crate::event::EventQueueKind,
+            lookahead: LookaheadKind,
             pin: false,
         }
     }
@@ -228,8 +189,6 @@ pub struct Topology {
     /// Scale factor mapping unit-square distance to milliseconds.
     ms_per_unit: f64,
     populations: Vec<u32>,
-    event_queue: crate::event::EventQueueKind,
-    lookahead: LookaheadKind,
     pin: bool,
     /// Exact minimum latency (ms) between the point sets of every
     /// locality pair, row-major `k × k`; `u64::MAX` on the diagonal
@@ -316,8 +275,6 @@ impl Topology {
             inter_floor_ms: cfg.inter_locality_floor_ms,
             ms_per_unit,
             populations: vec![0; k],
-            event_queue: cfg.event_queue,
-            lookahead: cfg.lookahead,
             pin: cfg.pin,
             loc_min_lat_ms: Vec::new(),
         };
@@ -438,12 +395,6 @@ impl Topology {
         self.points.len()
     }
 
-    /// The event-queue backend engines over this topology should use
-    /// (from [`TopologyConfig::event_queue`]).
-    pub fn event_queue(&self) -> crate::event::EventQueueKind {
-        self.event_queue
-    }
-
     /// Number of network localities `k`.
     pub fn num_localities(&self) -> usize {
         self.landmarks.len()
@@ -506,20 +457,13 @@ impl Topology {
     /// A guaranteed lower bound on the latency of *any* cross-locality
     /// link: `max(min_latency, inter_locality_floor, 1)` milliseconds.
     ///
-    /// This is the sharded engine's *lookahead*: a message sent at
+    /// The floor of the sharded engine's lookahead: a message sent at
     /// simulated time `t` between nodes of different localities (and
     /// therefore possibly different shards) can never arrive before
-    /// `t + lookahead`, so shards that synchronize every `lookahead`
-    /// milliseconds always exchange cross-shard messages a full epoch
-    /// before they are due.
+    /// `t + floor`, and every entry of the per-shard-pair matrix
+    /// ([`Topology::shard_lookahead_ms`]) is at least this large.
     pub fn cross_locality_lookahead(&self) -> SimDuration {
         SimDuration::from_ms(self.min_latency_ms.max(self.cross_floor_ms()))
-    }
-
-    /// The lookahead mode engines over this topology should run
-    /// (from [`TopologyConfig::lookahead`]).
-    pub fn lookahead_kind(&self) -> LookaheadKind {
-        self.lookahead
     }
 
     /// Whether engines over this topology should pin shard threads to
@@ -841,29 +785,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lookahead_kind_parses_and_rides_the_config() {
-        assert_eq!(
-            LookaheadKind::parse("matrix").unwrap(),
-            LookaheadKind::Matrix
-        );
-        assert_eq!(
-            LookaheadKind::parse("global").unwrap(),
-            LookaheadKind::GlobalFloor
-        );
-        assert!(LookaheadKind::parse("x").is_err());
-        assert_eq!(format!("{}", LookaheadKind::Matrix), "matrix");
-        assert_eq!(format!("{}", LookaheadKind::GlobalFloor), "global");
-        let t = Topology::generate(
-            &TopologyConfig {
-                lookahead: LookaheadKind::GlobalFloor,
-                ..TopologyConfig::small_test()
-            },
-            1,
-        );
-        assert_eq!(t.lookahead_kind(), LookaheadKind::GlobalFloor);
     }
 
     #[test]

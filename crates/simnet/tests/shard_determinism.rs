@@ -8,8 +8,8 @@
 use rand::Rng;
 use simnet::stats::ServedBy;
 use simnet::{
-    ChurnConfig, ChurnScript, Ctx, Engine, Event, EventQueueKind, Message, Node, NodeId,
-    SimDuration, SimTime, Topology, TopologyConfig, TrafficClass,
+    ChurnConfig, ChurnScript, Ctx, Engine, Event, Message, Node, NodeId, SimDuration, SimTime,
+    Topology, TopologyConfig, TrafficClass,
 };
 
 #[derive(Clone, Debug)]
@@ -100,22 +100,11 @@ impl Node<Msg> for Chatter {
 /// A full run at the given shard count, reduced to a comparable
 /// fingerprint of everything observable.
 fn run(shards: usize, seed: u64) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) {
-    run_q(shards, seed, EventQueueKind::default())
-}
-
-/// As [`run`], on an explicit event-queue backend.
-#[allow(clippy::type_complexity)]
-fn run_q(
-    shards: usize,
-    seed: u64,
-    queue: EventQueueKind,
-) -> (u64, u64, Vec<u64>, Vec<u64>, u64, String) {
     let topo = Topology::generate(
         &TopologyConfig {
             nodes: 160,
             localities: 4,
             inter_locality_floor_ms: 60,
-            event_queue: queue,
             ..Default::default()
         },
         seed,
@@ -210,19 +199,6 @@ fn same_seed_identical_across_shard_counts() {
 fn different_seeds_still_differ() {
     // Guard against the fingerprint being insensitive.
     assert_ne!(run(2, 1).2, run(2, 2).2, "seed must matter");
-}
-
-#[test]
-fn same_seed_identical_across_queue_backends() {
-    // The event-storage backend is an execution detail exactly like
-    // the shard count: full fingerprint equality, sharded and not.
-    for shards in [1, 3] {
-        assert_eq!(
-            run_q(shards, 42, EventQueueKind::Calendar),
-            run_q(shards, 42, EventQueueKind::Heap),
-            "shards={shards}: queue backends diverged"
-        );
-    }
 }
 
 #[test]
